@@ -4,22 +4,13 @@
 //!
 //! The workspace correctness analyzer: deny-by-default static gates over
 //! the codebase itself, in the same spirit as `metaopt-modelcheck`'s
-//! MC0xx gates over the model IR. Two halves:
+//! MC0xx gates over the model IR: a hand-rolled token/AST-lite scanner
+//! over every first-party crate emitting stable `ANxxx` diagnostics —
+//! determinism (AN0xx), concurrency (AN1xx), panic-freedom (AN2xx),
+//! journal/protocol vocabulary coverage (AN3xx), and suppression hygiene
+//! (AN4xx). Run via `cargo run -p xtask -- analyze`.
 //!
-//! * **Source lints** (this module tree): a hand-rolled token/AST-lite
-//!   scanner over every first-party crate emitting stable `ANxxx`
-//!   diagnostics — determinism (AN0xx), concurrency (AN1xx),
-//!   panic-freedom (AN2xx), journal/protocol vocabulary coverage
-//!   (AN3xx), and suppression hygiene (AN4xx). Run via
-//!   `cargo run -p xtask -- analyze`.
-//! * **Protocol model checker** ([`protocol`]): a bounded exhaustive
-//!   interleaving explorer for an extracted model of the work-stealing
-//!   frontier/inflight-slot/stop protocol in `metaopt-milp`, asserting
-//!   the no-lost-wakeup and bound-visibility invariants that were
-//!   violated by the two (since fixed) PR 5 races.
-//!
-//! Both halves are catalogued, with rationale and the PR 5 post-mortems
-//! as worked examples, in `DESIGN.md` §14.
+//! The lints are catalogued, with rationale, in `DESIGN.md` §14.
 //!
 //! ## Suppressions
 //!
@@ -37,7 +28,6 @@
 //! (AN401), so the suppression set cannot rot.
 
 pub mod lints;
-pub mod protocol;
 pub mod scan;
 pub mod vocab;
 
@@ -231,8 +221,7 @@ pub fn workspace_test_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Runs every source lint (AN0xx–AN4xx) over the workspace at `root`.
-/// This is what `cargo run -p xtask -- analyze` gates on; the protocol
-/// checker ([`protocol::gate`]) is the other half of that command.
+/// This is what `cargo run -p xtask -- analyze` gates on.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let parse_all = |files: Vec<PathBuf>| -> std::io::Result<Vec<scan::SourceFile>> {
         let mut out = Vec::new();

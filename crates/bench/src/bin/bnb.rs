@@ -1,6 +1,6 @@
-//! Branch-and-bound engine benchmark: serial vs deterministic-parallel vs
-//! work-stealing on the fig-1 scaling grid, plus warm-vs-cold LP
-//! iteration accounting from the basis-snapshot warm starts.
+//! Branch-and-bound engine benchmark: serial vs deterministic-parallel on
+//! the fig-1 scaling grid, plus warm-vs-cold LP iteration accounting from
+//! the basis-snapshot warm starts.
 //!
 //! Emits `target/figures/BENCH_bnb.json` (hand-rolled JSON, like every
 //! other emitter in this crate) with one record per (model, engine,
@@ -88,7 +88,6 @@ fn run_cell(
     let parallel = match engine {
         "serial" => ParallelMode::Serial,
         "deterministic" => ParallelMode::Deterministic,
-        "work-stealing" => ParallelMode::WorkStealing,
         _ => unreachable!(),
     };
     // Best-of-N wall clock to damp scheduler noise; the certified result
@@ -193,7 +192,6 @@ fn measure_obs_overhead(reps: usize) -> ObsOverhead {
     let m = &enabled_cfg.metrics;
     let total_ops = m.nodes.get()
         + m.waves.get()
-        + m.steals.get()
         + m.incumbents.get()
         + m.lp.pivots.get()
         + m.lp.refactors.get()
@@ -230,7 +228,6 @@ fn main() {
             for threads in [1usize, 2, 4, 8] {
                 cells.push(run_cell(name, &model, "deterministic", threads, factor, reps));
             }
-            cells.push(run_cell(name, &model, "work-stealing", 8, factor, reps));
         }
     }
     let obs = measure_obs_overhead(reps);

@@ -33,7 +33,7 @@ pub struct CampaignMetrics {
     /// Wall-clock seconds spent replaying a journal into a
     /// [`crate::CampaignState`].
     pub replay_seconds: Histogram,
-    /// Solver-stack counters (branch-and-bound nodes/waves/steals plus
+    /// Solver-stack counters (branch-and-bound nodes/waves plus
     /// node-LP pivots), installed on every cell attempt's `MilpConfig`
     /// by [`crate::drive_cell`] — the same embedding pattern as
     /// `MilpMetrics` carrying `LpMetrics`.

@@ -553,7 +553,7 @@ pub fn quarantine_reason_for(failure_kind: &str) -> QuarantineReason {
 /// Observability handles a supervisor installs on each cell attempt's
 /// solver stack: [`drive_cell`] copies them into the rebuilt
 /// `FinderConfig`'s `MilpConfig` before the first tick, so
-/// branch-and-bound node/wave/steal counters and node-LP pivot counters
+/// branch-and-bound node/wave counters and node-LP pivot counters
 /// accumulate — and incumbent events reach the flight recorder —
 /// without the spec (which is journaled) having to carry them.
 /// Defaults to all-disabled: observation never changes tick results.

@@ -25,12 +25,9 @@
 //! differential-test oracle. Either backend refactorizes periodically for
 //! numerical hygiene. Degeneracy — ubiquitous in traffic-engineering LPs —
 //! is handled with a Bland-rule fallback after a run of degenerate pivots.
-//! A bounded [`presolve`](Presolve) shrinks problems before the simplex
-//! sees them and restores full primal/dual solutions afterwards.
 
 mod factor;
 mod metrics;
-mod presolve;
 mod problem;
 mod solution;
 mod solver;
@@ -38,7 +35,6 @@ mod sparse;
 
 pub use factor::FactorBackend;
 pub use metrics::LpMetrics;
-pub use presolve::{Presolve, PresolveOutcome};
 pub use problem::{LpProblem, RowId, RowSense, VarId, INF, NEG_INF};
 pub use solution::{Solution, SolveStatus};
 pub use solver::{Basis, Simplex, SimplexConfig};

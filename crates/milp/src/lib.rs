@@ -24,11 +24,11 @@
 //!   primal-dual gap, and the stall rule ("incremental progress in a given
 //!   time window smaller than 0.5%"),
 //! * full trajectory recording (best objective vs. time) for Figure 3,
-//! * three interchangeable tree-search engines (see [`ParallelMode`]): the
-//!   serial search, a **deterministic parallel** engine whose certified
-//!   results and checkpoints are bit-identical at any thread count, and a
-//!   throughput-oriented **work-stealing** engine — both parallel engines
-//!   warm-start node LPs from parent [`metaopt_lp::Basis`] snapshots.
+//! * two interchangeable tree-search engines (see [`ParallelMode`]): the
+//!   serial search and a **deterministic parallel** engine whose certified
+//!   results and checkpoints are bit-identical at any thread count, and
+//!   which warm-starts node LPs from parent [`metaopt_lp::Basis`]
+//!   snapshots.
 
 mod metrics;
 mod parallel;

@@ -1,10 +1,9 @@
 //! Pre-registered obs handles for the branch-and-bound engines.
 //!
-//! One `MilpMetrics` travels inside [`crate::MilpConfig`]; every engine
-//! (serial, deterministic wave, work-stealing) increments the same
-//! cells, and the embedded [`LpMetrics`] is installed on each worker
-//! simplex so node-LP pivot/refactor/warm-cold deltas accumulate with
-//! no per-pivot cost. All handles default to no-ops; observation never
+//! One `MilpMetrics` travels inside [`crate::MilpConfig`]; both engines
+//! (serial and deterministic wave) increment the same cells, and the
+//! embedded [`LpMetrics`] is installed on each worker simplex so node-LP
+//! pivot/refactor/warm-cold deltas accumulate with no per-pivot cost. All handles default to no-ops; observation never
 //! feeds back into search order, so the deterministic engine stays
 //! bit-identical with metrics enabled.
 
@@ -18,8 +17,6 @@ pub struct MilpMetrics {
     pub nodes: Counter,
     /// Deterministic-engine waves dispatched.
     pub waves: Counter,
-    /// Work-stealing engine: successful steals from the shared frontier.
-    pub steals: Counter,
     /// Incumbent improvements accepted.
     pub incumbents: Counter,
     /// Node-LP kernel counters, installed on every worker simplex.
@@ -44,11 +41,6 @@ impl MilpMetrics {
             waves: registry.counter(
                 "metaopt_milp_waves_total",
                 "Deterministic-engine waves dispatched",
-                &[],
-            ),
-            steals: registry.counter(
-                "metaopt_milp_steals_total",
-                "Work-stealing engine frontier steals",
                 &[],
             ),
             incumbents: registry.counter(

@@ -273,8 +273,8 @@ pub(crate) fn canon_cmp(
 }
 
 /// Unit of the time axis of a [`Checkpoint`]'s stored trajectory. The
-/// serial and work-stealing engines record incumbent improvements in
-/// wall-clock seconds; the deterministic engine's replay clock is
+/// serial engine records incumbent improvements in wall-clock seconds;
+/// the deterministic engine's replay clock is
 /// certified *nodes* (seconds would differ run to run and break its
 /// bit-identical `to_text` guarantee). Resume paths only adopt a stored
 /// trajectory whose axis matches their own clock, so a checkpoint handed
@@ -708,9 +708,6 @@ pub fn solve_resumable(
         }
         crate::parallel::Engine::Deterministic(threads) => {
             crate::parallel::solve_deterministic(&cm, cfg, callback, resume, threads, start)
-        }
-        crate::parallel::Engine::WorkStealing(threads) => {
-            crate::parallel::solve_work_stealing(&cm, cfg, callback, resume, threads, start)
         }
     }
 }

@@ -205,17 +205,17 @@ fn resume_to_optimality_matches_full_solve() {
     );
 }
 
-/// A panic inside a work-stealing worker's node evaluation is contained:
-/// every sibling worker exits promptly (no lost wakeup, no leaked inflight
-/// slot wedging the gap rule) and the search surfaces a fatal error
+/// A panic inside a deterministic-engine worker thread's node evaluation
+/// is contained: it reaches the coordinator as a panicked evaluation, the
+/// sibling workers shut down, and the search surfaces a fatal error
 /// instead of unwinding or hanging.
 #[test]
-fn ws_worker_panic_is_contained_and_stops_the_search() {
+fn det_worker_panic_is_contained_and_stops_the_search() {
     let m = big_knapsack(20);
     let plan = FaultPlan::new().inject(FaultSite::EvalPanic);
     let cfg = MilpConfig {
         threads: 4,
-        parallel: metaopt_milp::ParallelMode::WorkStealing,
+        parallel: metaopt_milp::ParallelMode::Deterministic,
         fault_plan: Some(plan.clone()),
         ..Default::default()
     };

@@ -292,40 +292,6 @@ impl Budget {
     }
 }
 
-/// A thread-safe node counter shared by the workers of a parallel
-/// branch-and-bound search, so a [`Budget`] node allowance is charged
-/// against the *global* tree size rather than each worker's slice of it.
-/// A `Budget` itself is `Copy` and holds only absolute limits, so handing
-/// every worker its own copy is already safe; this meter supplies the one
-/// piece of budget accounting that must be shared mutable state. Cloning
-/// shares the underlying counter.
-#[derive(Debug, Clone, Default)]
-pub struct NodeMeter(Arc<AtomicUsize>);
-
-impl NodeMeter {
-    /// A fresh meter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charges `n` nodes against the meter and returns the new global
-    /// total (the counter saturates instead of wrapping).
-    pub fn charge(&self, n: usize) -> usize {
-        let prev = self.0.fetch_add(n, Ordering::Relaxed);
-        prev.saturating_add(n)
-    }
-
-    /// Nodes charged so far across all clones of this meter.
-    pub fn count(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Whether `budget`'s node allowance is exhausted on this meter.
-    pub fn exhausted(&self, budget: &Budget) -> bool {
-        budget.max_nodes().is_some_and(|cap| self.count() >= cap)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Degradation ladder
 // ---------------------------------------------------------------------
@@ -380,8 +346,9 @@ pub enum FaultSite {
     CallbackPanic,
     /// Force the §3.3 stall rule to fire.
     StallNow,
-    /// Force a panic inside a parallel worker's node evaluation. Exercises
-    /// the worker containment path (panic → `Eval::Panicked` → fatal stop);
+    /// Force a panic inside a deterministic-engine worker thread's node
+    /// evaluation (and, in the server, inside a cell worker). Exercises the
+    /// worker containment path (panic → `Eval::Panicked` → fatal stop);
     /// deliberately *not* in [`FaultSite::ALL`] because it aborts the whole
     /// search by design, while the seeded chaos matrix asserts recoverable
     /// degradation.

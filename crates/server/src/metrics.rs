@@ -82,7 +82,7 @@ pub struct ServerMetrics {
     /// fence token that is no longer the job's current lease).
     pub workers_fenced: Counter,
     /// Solver-stack counters installed on every job attempt's
-    /// branch-and-bound config (nodes, waves, steals, node-LP pivots).
+    /// branch-and-bound config (nodes, waves, node-LP pivots).
     pub solver: MilpMetrics,
 }
 

@@ -9,9 +9,9 @@
 //! * `clippy` — runs the pedantic lint subset the repo holds itself to,
 //!   with `-D warnings`.
 //! * `lint` — both of the above.
-//! * `analyze` — the `metaopt-analyze` correctness gates: ANxxx source
-//!   lints over every first-party crate plus the exhaustive work-stealing
-//!   protocol check. Deny-by-default; see `DESIGN.md` §14.
+//! * `analyze` — the `metaopt-analyze` correctness gate: ANxxx source
+//!   lints over every first-party crate. Deny-by-default; see
+//!   `DESIGN.md` §14.
 //! * `verify` — `lint` + `analyze`; the CI entry point.
 
 use std::path::{Path, PathBuf};
@@ -104,8 +104,7 @@ fn clippy(root: &Path) -> Result<(), String> {
     }
 }
 
-/// The `metaopt-analyze` gates: source lints, then the exhaustive
-/// protocol exploration. Both must be completely clean.
+/// The `metaopt-analyze` source lints; they must be completely clean.
 fn analyze(root: &Path) -> Result<(), String> {
     let report = metaopt_analyze::analyze_workspace(root)
         .map_err(|e| format!("analyze: reading workspace sources: {e}"))?;
@@ -116,12 +115,6 @@ fn analyze(root: &Path) -> Result<(), String> {
         return Err(format!("analyze: source lints failed ({})", report.summary()));
     }
     println!("analyze: source lints ok ({})", report.summary());
-    let lines = metaopt_analyze::protocol::gate()
-        .map_err(|e| format!("analyze: protocol check failed:\n{e}"))?;
-    for line in &lines {
-        println!("analyze: protocol {}: {} states explored", line.name, line.states);
-    }
-    println!("analyze: protocol ok ({} scenarios exhaustively explored)", lines.len());
     Ok(())
 }
 

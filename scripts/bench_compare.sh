@@ -27,15 +27,9 @@ hw() { # hw <file>
 }
 
 speedup() { # speedup <file> <model> <engine> <threads> <factor>
-    # Cells are keyed by (model, engine, threads, factor). Baselines
-    # produced before the factor dimension existed lack the "factor"
-    # field; fall back to the unlabeled match so old files still gate.
-    local v
-    v="$(sed -n 's/.*"model": "'"$2"'", "engine": "'"$3"'", "threads": '"$4"', "factor": "'"$5"'", .*"speedup_vs_serial": \([0-9.]*\).*/\1/p' "$1" | head -1)"
-    if [[ -z "$v" ]]; then
-        v="$(sed -n 's/.*"model": "'"$2"'", "engine": "'"$3"'", "threads": '"$4"', .*"speedup_vs_serial": \([0-9.]*\).*/\1/p' "$1" | head -1)"
-    fi
-    printf '%s' "$v"
+    # Cells are keyed by (model, engine, threads, factor); a missing cell
+    # yields the empty string.
+    sed -n 's/.*"model": "'"$2"'", "engine": "'"$3"'", "threads": '"$4"', "factor": "'"$5"'", .*"speedup_vs_serial": \([0-9.]*\).*/\1/p' "$1" | head -1
 }
 
 hw_base="$(hw "$BASELINE")"
@@ -70,8 +64,7 @@ for model in fig1-dp fig1-pop line4-dp; do
 done
 
 # The production default is the sparse backend, so the regression gate
-# runs on the sparse headline cell (pre-factor baselines fall back to
-# their single unlabeled — dense — cell).
+# runs on the sparse headline cell.
 base_headline="$(speedup "$BASELINE" "$HEADLINE_MODEL" deterministic "$T" sparse)"
 cur_headline="$(speedup "$CURRENT" "$HEADLINE_MODEL" deterministic "$T" sparse)"
 [[ -n "$base_headline" && -n "$cur_headline" ]] \
@@ -83,17 +76,4 @@ if awk "BEGIN { exit !($cur_headline >= $base_headline * (1 - $MAX_REGRESSION_PC
 else
     echo "bench_compare FAILED: headline det-engine speedup regressed >${MAX_REGRESSION_PCT}%: $cur_headline vs baseline $base_headline" >&2
     exit 1
-fi
-
-# Backend gate: the sparse factorization core must not lose to the dense
-# one on the headline deterministic speedup of the current run. Skipped
-# when the current file predates the factor dimension.
-cur_dense="$(speedup "$CURRENT" "$HEADLINE_MODEL" deterministic "$T" dense)"
-if [[ -n "$cur_dense" && "$cur_dense" != "$cur_headline" ]]; then
-    if awk "BEGIN { exit !($cur_headline >= $cur_dense) }"; then
-        echo "bench_compare OK: sparse headline speedup $cur_headline >= dense $cur_dense"
-    else
-        echo "bench_compare FAILED: sparse headline speedup $cur_headline below dense $cur_dense" >&2
-        exit 1
-    fi
 fi
