@@ -23,7 +23,10 @@
 //!   eta matrix `E⁻¹` with `B_k⁻¹ = E_k⁻¹ ⋯ E_1⁻¹ (LU)⁻¹`, so FTRAN
 //!   applies the eta file after the triangular solves and BTRAN applies
 //!   the transposed etas (newest first) before them. O(nnz) per solve
-//!   and per update.
+//!   and per update. A refactorization costs O(nnz·log m): the
+//!   Markowitz shortlist is read off a set of the active columns ordered
+//!   by `(count, position)` rather than found by scanning all `m`
+//!   positions at each of the `m` elimination steps.
 //!
 //! Both backends expose the *same* pivot-level semantics — the simplex
 //! loops, the `Basis` snapshot/warm-start API, the numerical-recovery
@@ -42,6 +45,7 @@
 use crate::sparse::SparseMat;
 use crate::{LpError, LpResult};
 use metaopt_resilience::SolverFault;
+use std::collections::BTreeSet;
 
 /// Smallest pivot magnitude either backend accepts during a
 /// refactorization; anything below is reported as a singular basis.
@@ -58,10 +62,38 @@ const MARKOWITZ_TAU: f64 = 0.1;
 /// shortlisted candidates has an admissible pivot).
 const CAND_COLS: usize = 8;
 
+/// A Markowitz shortlist rule over the active columns (`by_count` holds
+/// `(count, position)` for each, `acol`/`col_done` the same columns by
+/// position): fills `cand` with the [`CAND_COLS`] columns of fewest
+/// entries in `(count, position)` order, or returns `Err(p)` for the
+/// lowest-positioned active column with no entries (a singular basis).
+type Shortlist = fn(
+    by_count: &BTreeSet<(usize, usize)>,
+    acol: &[Vec<(usize, f64)>],
+    col_done: &[bool],
+    cand: &mut Vec<usize>,
+) -> Result<(), usize>;
+
+/// The production shortlist: the first [`CAND_COLS`] entries of the
+/// ordered set, O(log m) per step. An empty active column sorts first.
+fn ordered_shortlist(
+    by_count: &BTreeSet<(usize, usize)>,
+    _acol: &[Vec<(usize, f64)>],
+    _col_done: &[bool],
+    cand: &mut Vec<usize>,
+) -> Result<(), usize> {
+    if let Some(&(0, p)) = by_count.first() {
+        return Err(p);
+    }
+    cand.clear();
+    cand.extend(by_count.iter().take(CAND_COLS).map(|&(_, p)| p));
+    Ok(())
+}
+
 /// Eta-file growth bound: once the update file holds this many etas the
 /// factorization asks for an early refactorization regardless of the
 /// solver's pivot-count cadence (a long eta file makes every FTRAN/BTRAN
-/// pay for all past pivots; refactoring is O(nnz) and resets it).
+/// pay for all past pivots; refactoring is O(nnz·log m) and resets it).
 const MAX_ETAS: usize = 64;
 
 /// Which basis-factorization engine a [`crate::Simplex`] runs on.
@@ -71,7 +103,8 @@ pub enum FactorBackend {
     /// oracle for differential tests, fine for small problems).
     Dense,
     /// Sparse LU with Markowitz-threshold pivoting and product-form
-    /// eta updates (the default; O(nnz) factor/solve work).
+    /// eta updates (the default; O(nnz) solve work, O(nnz·log m)
+    /// factor work).
     #[default]
     SparseLU,
 }
@@ -340,8 +373,20 @@ impl SparseLu {
     /// `(row_count − 1)(col_count − 1)` over the [`CAND_COLS`]
     /// smallest active columns, restricted to entries passing the
     /// `|v| ≥ τ·colmax` stability threshold; the search widens to every
-    /// active column before declaring the basis singular.
+    /// active column before declaring the basis singular. The shortlist
+    /// comes from the active columns ordered by `(count, position)`,
+    /// kept current as columns are eliminated or change count.
     fn factorize(cols: &SparseMat, basis: &[usize]) -> LpResult<SparseLu> {
+        Self::factorize_with(cols, basis, ordered_shortlist)
+    }
+
+    /// [`SparseLu::factorize`] with the shortlist rule passed in, so the
+    /// tests can run the elimination under the reference linear scan.
+    fn factorize_with(
+        cols: &SparseMat,
+        basis: &[usize],
+        shortlist: Shortlist,
+    ) -> LpResult<SparseLu> {
         let m = basis.len();
         // Active submatrix, column-wise per basis position.
         let mut acol: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
@@ -353,6 +398,12 @@ impl SparseLu {
             }
             acol.push(col);
         }
+        let mut by_count: BTreeSet<(usize, usize)> = acol
+            .iter()
+            .enumerate()
+            .map(|(p, col)| (col.len(), p))
+            .collect();
+        let mut cand: Vec<usize> = Vec::with_capacity(CAND_COLS);
         // Row → candidate columns incidence (append-only; may hold stale
         // positions that the per-column scan below skips).
         let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
@@ -410,23 +461,11 @@ impl SparseLu {
 
         for _step in 0..m {
             // ---- Markowitz pivot search ----
-            // Shortlist the CAND_COLS smallest active columns.
-            let mut cand: Vec<usize> = Vec::with_capacity(CAND_COLS);
-            for p in 0..m {
-                if col_done[p] {
-                    continue;
-                }
-                if acol[p].is_empty() {
-                    return Err(singular(format!(
-                        "singular basis during refactorization (column {p})"
-                    )));
-                }
-                match cand.iter().position(|&q| acol[q].len() > acol[p].len()) {
-                    Some(at) => cand.insert(at, p),
-                    None => cand.push(p),
-                }
-                cand.truncate(CAND_COLS);
-            }
+            shortlist(&by_count, &acol, &col_done, &mut cand).map_err(|p| {
+                singular(format!(
+                    "singular basis during refactorization (column {p})"
+                ))
+            })?;
             let mut pick: Option<(usize, usize, f64, usize)> = None; // (pos, row, val, cost)
             let consider = |pick: &mut Option<(usize, usize, f64, usize)>, p: usize| {
                 if let Some((r, v, cost)) = score_col(&acol, &row_count, p) {
@@ -472,6 +511,7 @@ impl SparseLu {
                 l_val.push(lm);
             }
             l_ptr.push(l_row.len());
+            by_count.remove(&(acol[pp].len(), pp));
             acol[pp].clear();
             col_done[pp] = true;
             row_of_step.push(pr);
@@ -523,6 +563,10 @@ impl SparseLu {
                         row_count[r] += 1;
                         newcol.push((r, v));
                     }
+                }
+                if newcol.len() != acol[p].len() {
+                    by_count.remove(&(acol[p].len(), p));
+                    by_count.insert((newcol.len(), p));
                 }
                 acol[p] = newcol;
             }
@@ -645,7 +689,7 @@ impl SparseLu {
     }
 
     /// Early-refactorization hint: the eta file has grown past the point
-    /// where replaying it costs more than a fresh O(nnz) factorization.
+    /// where replaying it costs more than a fresh O(nnz·log m) factorization.
     fn wants_refactor(&self) -> bool {
         self.etas.len() >= MAX_ETAS || self.eta_nnz > 2 * (self.lu_nnz + self.m)
     }
@@ -922,6 +966,115 @@ mod tests {
             sparse.update(0, &[1.0, 0.5, -0.5]);
         }
         assert!(sparse.wants_refactor());
+    }
+
+    /// The shortlist rule the ordered set replaced: a scan over every
+    /// position keeping the [`CAND_COLS`] sparsest active columns, stable
+    /// in position, and failing on the first empty one. The reference
+    /// [`ordered_shortlist`] must reproduce exactly.
+    fn linear_scan_shortlist(
+        _by_count: &BTreeSet<(usize, usize)>,
+        acol: &[Vec<(usize, f64)>],
+        col_done: &[bool],
+        cand: &mut Vec<usize>,
+    ) -> Result<(), usize> {
+        cand.clear();
+        for p in 0..acol.len() {
+            if col_done[p] {
+                continue;
+            }
+            if acol[p].is_empty() {
+                return Err(p);
+            }
+            match cand.iter().position(|&q| acol[q].len() > acol[p].len()) {
+                Some(at) => cand.insert(at, p),
+                None => cand.push(p),
+            }
+            cand.truncate(CAND_COLS);
+        }
+        Ok(())
+    }
+
+    /// A seeded random sparse basis of `m` columns drawn from small
+    /// integers, so column counts tie, the Schur updates fill in, and
+    /// equal multipliers cancel exactly. `kind` 1 and 2 make it singular
+    /// (an empty column; a repeated column); any other kind leaves that
+    /// to chance.
+    fn random_basis(rng: &mut u64, m: usize, kind: u64) -> (SparseMat, Vec<usize>) {
+        let mut next = move |n: u64| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % n
+        };
+        let values = [1.0, -1.0, 2.0, 0.5, -3.0];
+        let mut cols = SparseMat::new(m);
+        for p in 0..m {
+            let mut entries = vec![(p, values[next(5) as usize])];
+            for _ in 0..next(4) {
+                entries.push((next(m as u64) as usize, values[next(5) as usize]));
+            }
+            cols.push_col(entries);
+        }
+        let mut basis: Vec<usize> = (0..m).collect();
+        let victim = next(m as u64) as usize;
+        match kind {
+            1 => basis[victim] = cols.push_col([] as [(usize, f64); 0]),
+            2 => basis[victim] = basis[(victim + 1) % m],
+            _ => {}
+        }
+        (cols, basis)
+    }
+
+    fn assert_same_factors(a: &SparseLu, b: &SparseLu, ctx: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.row_of_step, b.row_of_step, "{ctx}: row_of_step");
+        assert_eq!(a.pos_of_step, b.pos_of_step, "{ctx}: pos_of_step");
+        assert_eq!(a.l_ptr, b.l_ptr, "{ctx}: l_ptr");
+        assert_eq!(a.l_row, b.l_row, "{ctx}: l_row");
+        assert_eq!(bits(&a.l_val), bits(&b.l_val), "{ctx}: l_val");
+        assert_eq!(bits(&a.u_diag), bits(&b.u_diag), "{ctx}: u_diag");
+        assert_eq!(a.u_ptr, b.u_ptr, "{ctx}: u_ptr");
+        assert_eq!(a.u_pos, b.u_pos, "{ctx}: u_pos");
+        assert_eq!(bits(&a.u_val), bits(&b.u_val), "{ctx}: u_val");
+    }
+
+    /// The ordered shortlist picks the same pivots as the linear scan it
+    /// replaced, so every factor array is bitwise equal and singular
+    /// bases fail with the same message.
+    #[test]
+    fn ordered_shortlist_matches_linear_scan_bit_for_bit() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+        let (mut factored, mut singular_seen, mut filled) = (0, 0, 0);
+        for case in 0..300u64 {
+            let m = 2 + (case as usize % 40);
+            let kind = case % 5;
+            let (cols, basis) = random_basis(&mut rng, m, kind);
+            let ctx = format!("case {case} (m {m}, kind {kind})");
+            let fast = SparseLu::factorize_with(&cols, &basis, ordered_shortlist);
+            let slow = SparseLu::factorize_with(&cols, &basis, linear_scan_shortlist);
+            match (fast, slow) {
+                (Ok(a), Ok(b)) => {
+                    assert_same_factors(&a, &b, &ctx);
+                    factored += 1;
+                    let input_nnz: usize = basis.iter().map(|&j| cols.col_nnz(j)).sum();
+                    if a.lu_nnz > input_nnz {
+                        filled += 1;
+                    }
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "{ctx}");
+                    singular_seen += 1;
+                }
+                (a, b) => panic!("{ctx}: ordered {a:?} vs linear scan {b:?}"),
+            }
+        }
+        // The family must exercise both outcomes and real fill-in.
+        assert!(
+            factored >= 100 && singular_seen >= 100,
+            "{factored}/{singular_seen}"
+        );
+        assert!(filled >= 20, "only {filled} bases filled in");
     }
 
     #[test]

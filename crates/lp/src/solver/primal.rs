@@ -2,6 +2,7 @@
 
 use super::{Simplex, VarState};
 use crate::solution::SolveStatus;
+use crate::sparse::SparseMat;
 use crate::{LpError, LpResult};
 use metaopt_resilience::{FaultSite, SolverFault};
 
@@ -12,6 +13,55 @@ enum Entering {
     OptimalReached,
 }
 
+/// The pivot row `α = ρᵀA` of one basis change, accumulated row by row
+/// over a transposed copy of the columns, so its cost follows the
+/// nonzeros of `ρ = e_posᵀB⁻¹` rather than the column count.
+struct PivotRow {
+    /// The solver's columns (structural, logical, artificial) row-wise.
+    rows: SparseMat,
+    alpha: Vec<f64>,
+    seen: Vec<bool>,
+    /// Columns with an entry in a row where `ρ` is nonzero; every other
+    /// column has `α_j = 0` and an unchanged reduced cost.
+    touched: Vec<usize>,
+}
+
+impl PivotRow {
+    fn new(cols: &SparseMat) -> PivotRow {
+        let n = cols.n_cols();
+        PivotRow {
+            rows: cols.transpose(),
+            alpha: vec![0.0; n],
+            seen: vec![false; n],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Forms `α` over `ρ`'s nonzero rows in ascending row order. Each
+    /// `α_j` is then the very sum `col_dot(j, ρ)` forms: the terms it
+    /// skips are exact zeros (the entries of `A` are finite), and adding
+    /// ±0 to a sum started at +0 leaves its bits unchanged.
+    fn compute(&mut self, rho: &[f64]) {
+        for &j in &self.touched {
+            self.alpha[j] = 0.0;
+            self.seen[j] = false;
+        }
+        self.touched.clear();
+        for (i, &ri) in rho.iter().enumerate() {
+            if ri == 0.0 {
+                continue;
+            }
+            for (j, v) in self.rows.col(i) {
+                if !self.seen[j] {
+                    self.seen[j] = true;
+                    self.touched.push(j);
+                }
+                self.alpha[j] += ri * v;
+            }
+        }
+    }
+}
+
 impl Simplex {
     /// Runs primal iterations until optimality/unboundedness.
     ///
@@ -19,15 +69,22 @@ impl Simplex {
     /// `Unbounded` when an improving ray exists.
     pub(crate) fn primal_loop(&mut self) -> LpResult<SolveStatus> {
         let limit = self.auto_iter_limit();
+        let total = self.total_vars();
         let mut w = vec![0.0; self.m];
         // Columns rejected this round for tiny pivots; cleared on refactor.
-        let mut rejected: Vec<bool> = vec![false; self.total_vars()];
+        let mut rejected: Vec<bool> = vec![false; total];
         // Devex reference weights (approximate steepest edge): reset to the
         // unit framework at loop entry and whenever they overflow.
-        let mut devex: Vec<f64> = vec![1.0; self.total_vars()];
+        let mut devex: Vec<f64> = vec![1.0; total];
+        let mut row = PivotRow::new(&self.cols);
         // Duals maintained incrementally (y += θ·ρ per pivot); recomputed
         // from scratch at every refactorization.
         let mut y = self.btran_duals();
+        // Reduced costs, cached: after y += θ·ρ only the touched columns
+        // are refreshed. For finite θ an untouched column's y entries move
+        // by ±0, so its cached value equals a fresh `reduced_cost` bit for
+        // bit.
+        let mut d: Vec<f64> = (0..total).map(|j| self.reduced_cost(j, &y)).collect();
         let mut local_iters = 0usize;
         loop {
             if local_iters > limit {
@@ -41,11 +98,12 @@ impl Simplex {
             if self.refactor_due() {
                 self.refactor_and_check()?;
                 y = self.btran_duals();
+                self.refresh_reduced_costs(&y, 0..total, &mut d);
                 rejected.iter_mut().for_each(|r| *r = false);
             }
 
             let bland = self.degen_run >= self.cfg.degen_threshold;
-            let entering = self.price(&y, bland, &rejected, &devex);
+            let entering = self.price(&d, bland, &rejected, &devex);
             let (q, dir) = match entering {
                 Entering::OptimalReached => return Ok(SolveStatus::Optimal),
                 Entering::Var(q, dir) => (q, dir),
@@ -162,13 +220,19 @@ impl Simplex {
                     self.x[q] += dir * t;
                     // Shared pivot row ρ = e_posᵀB⁻¹ drives both the dual
                     // update (y += θ·ρ) and the Devex weight update.
-                    let d_q = self.reduced_cost(q, &y);
-                    let theta = d_q / piv;
+                    let theta = d[q] / piv;
                     let rho = self.btran_unit(pos);
                     for (yi, ri) in y.iter_mut().zip(&rho) {
                         *yi += theta * ri;
                     }
-                    self.update_devex(&mut devex, &rho, q, piv, leaving);
+                    row.compute(&rho);
+                    if theta.is_finite() {
+                        self.refresh_reduced_costs(&y, row.touched.iter().copied(), &mut d);
+                    } else {
+                        // θ·0 is NaN here: every y entry moved.
+                        self.refresh_reduced_costs(&y, 0..total, &mut d);
+                    }
+                    self.update_devex(&mut devex, &row, q, piv, leaving);
                     self.update_basis(pos, q, &w);
                     self.iterations += 1;
                     self.degen_run = if t <= ft { self.degen_run + 1 } else { 0 };
@@ -178,8 +242,9 @@ impl Simplex {
         }
     }
 
-    /// Devex (or Bland, when `bland`) pricing over nonbasic variables.
-    fn price(&self, y: &[f64], bland: bool, rejected: &[bool], devex: &[f64]) -> Entering {
+    /// Devex (or Bland, when `bland`) pricing over nonbasic variables,
+    /// reading the reduced costs `d`.
+    fn price(&self, d: &[f64], bland: bool, rejected: &[bool], devex: &[f64]) -> Entering {
         let tol = self.cfg.opt_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
         for j in 0..self.total_vars() {
@@ -202,7 +267,7 @@ impl Simplex {
                 }
                 VarState::FreeZero => 0.0,
             };
-            let d = self.reduced_cost(j, y);
+            let d = d[j];
             let (dir, score) = if dir == 0.0 {
                 // Free variable: move against the gradient.
                 if d < -tol {
@@ -241,6 +306,13 @@ impl Simplex {
 }
 
 impl Simplex {
+    /// `d_j = c_j − yᵀa_j` for the columns `js`.
+    fn refresh_reduced_costs(&self, y: &[f64], js: impl Iterator<Item = usize>, d: &mut [f64]) {
+        for j in js {
+            d[j] = self.reduced_cost(j, y);
+        }
+    }
+
     /// Devex weight update (Forrest–Goldfarb) after a basis change: with
     /// pivot row α (row `pos` of `B⁻¹A`) and pivot element `alpha_q`,
     ///
@@ -249,31 +321,28 @@ impl Simplex {
     ///   w_leaving := max(w_q / α_q², 1)
     /// ```
     ///
-    /// Weights overflowing the framework trigger a reset to 1.
+    /// Only the touched columns can have `α_j ≠ 0`. Weights overflowing
+    /// the framework trigger a reset to 1.
     fn update_devex(
         &self,
         devex: &mut [f64],
-        rho: &[f64],
+        row: &PivotRow,
         q: usize,
         alpha_q: f64,
         leaving: usize,
     ) {
         let wq = devex[q].max(1.0);
         let ratio = wq / (alpha_q * alpha_q);
-        let total = self.total_vars();
         let mut overflow = false;
-        for (j, dj) in devex.iter_mut().enumerate().take(total) {
-            if j == q {
+        for &j in &row.touched {
+            if j == q || matches!(self.state[j], VarState::Basic(_)) {
                 continue;
             }
-            if let super::VarState::Basic(_) = self.state[j] {
-                continue;
-            }
-            let alpha_j = self.cols.col_dot(j, rho);
+            let alpha_j = row.alpha[j];
             if alpha_j != 0.0 {
                 let cand = alpha_j * alpha_j * ratio;
-                if cand > *dj {
-                    *dj = cand;
+                if cand > devex[j] {
+                    devex[j] = cand;
                     if cand > 1e8 {
                         overflow = true;
                     }

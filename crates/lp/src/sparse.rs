@@ -118,6 +118,35 @@ impl SparseMat {
         }
     }
 
+    /// The transpose: column `r` of the result holds row `r`'s entries as
+    /// `(column, value)` pairs in ascending column order. Every stored
+    /// entry carries over, explicit zeros included.
+    pub(crate) fn transpose(&self) -> SparseMat {
+        let mut col_ptr = vec![0usize; self.n_rows + 1];
+        for &r in &self.idx {
+            col_ptr[r + 1] += 1;
+        }
+        for r in 0..self.n_rows {
+            col_ptr[r + 1] += col_ptr[r];
+        }
+        let mut next = col_ptr[..self.n_rows].to_vec();
+        let mut idx = vec![0usize; self.nnz()];
+        let mut val = vec![0.0; self.nnz()];
+        for c in 0..self.n_cols() {
+            for (r, v) in self.col(c) {
+                idx[next[r]] = c;
+                val[next[r]] = v;
+                next[r] += 1;
+            }
+        }
+        SparseMat {
+            n_rows: self.n_cols(),
+            col_ptr,
+            idx,
+            val,
+        }
+    }
+
     /// Scales every stored entry of row `r` by `scales[r]`, across all
     /// columns (one pass over the nonzeros). Used by the simplex recovery
     /// ladder's row equilibration.
@@ -169,6 +198,19 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.col_axpy(0, 2.0, &mut out);
         assert_eq!(out, vec![4.0, -2.0, 0.0]);
+    }
+
+    #[test]
+    fn transpose_lists_rows_and_keeps_explicit_zeros() {
+        let mut m = SparseMat::new(3);
+        m.push_col([(0, 1.0), (2, -2.0)]);
+        m.push_col([(1, 1.0), (1, -1.0)]); // stored explicit zero
+        m.push_col([(0, 3.0), (1, 4.0)]);
+        let t = m.transpose();
+        assert_eq!((t.n_rows(), t.n_cols(), t.nnz()), (3, 3, m.nnz()));
+        assert_eq!(t.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 3.0)]);
+        assert_eq!(t.col(1).collect::<Vec<_>>(), vec![(1, 0.0), (2, 4.0)]);
+        assert_eq!(t.col(2).collect::<Vec<_>>(), vec![(0, -2.0)]);
     }
 
     #[test]

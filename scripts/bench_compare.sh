@@ -1,6 +1,14 @@
 #!/usr/bin/env bash
-# Compare a fresh BENCH_bnb.json against the committed baseline and fail
-# on >25% regression of the headline deterministic-engine speedup.
+# Compare a fresh BENCH_bnb.json against the committed baseline. Two
+# gates, both fatal:
+#
+# 1. Work counts. Every (model, engine, threads, factor) cell present in
+#    both files must repeat nodes, pivots, basis_updates, refactors,
+#    warm_solves and cold_solves exactly. The search is deterministic and
+#    no clock or thread schedule feeds it, so these counts do not depend
+#    on the machine: a difference means the search itself changed.
+# 2. Speedup ratio: >25% regression of the headline deterministic-engine
+#    speedup fails.
 #
 # The headline metric is `speedup_vs_serial` of the deterministic engine
 # on the longest-running model (line4-dp — the sub-millisecond fig1 cells
@@ -30,6 +38,25 @@ speedup() { # speedup <file> <model> <engine> <threads> <factor>
     # Cells are keyed by (model, engine, threads, factor); a missing cell
     # yields the empty string.
     sed -n 's/.*"model": "'"$2"'", "engine": "'"$3"'", "threads": '"$4"', "factor": "'"$5"'", .*"speedup_vs_serial": \([0-9.]*\).*/\1/p' "$1" | head -1
+}
+
+COUNT_KEYS="nodes pivots basis_updates refactors warm_solves cold_solves"
+
+cell_counts() { # cell_counts <file>: one "<cell key>|<counts>" line per cell
+    awk -v keys="$COUNT_KEYS" '
+        function field(line, key,   m) {
+            if (!match(line, "\"" key "\": \"?[^,\"}]*")) return "?"
+            m = substr(line, RSTART, RLENGTH)
+            sub(/^"[^"]*": "?/, "", m)
+            return m
+        }
+        /"model": / {
+            n = split(keys, k, " ")
+            v = ""
+            for (i = 1; i <= n; i++) v = v " " k[i] "=" field($0, k[i])
+            printf "%s %s %st %s|%s\n", field($0, "model"), field($0, "engine"),
+                field($0, "threads"), field($0, "factor"), v
+        }' "$1"
 }
 
 hw_base="$(hw "$BASELINE")"
@@ -63,7 +90,27 @@ for model in fig1-dp fig1-pop line4-dp; do
     done
 done
 
-# The production default is the sparse backend, so the regression gate
+# Gate 1: machine-independent work counts, cell by cell.
+if ! awk -F'|' '
+    NR == FNR { base[$1] = $2; next }
+    $1 in base {
+        shared++
+        if (base[$1] != $2) {
+            bad++
+            printf "  work counts differ on %s:\n    baseline%s\n    current %s\n", $1, base[$1], $2
+        }
+    }
+    END {
+        if (bad) {
+            printf "bench_compare FAILED: work counts differ in %d of %d shared cells\n", bad, shared
+            exit 1
+        }
+        printf "bench_compare: work counts match in all %d shared cells\n", shared
+    }' <(cell_counts "$BASELINE") <(cell_counts "$CURRENT"); then
+    exit 1
+fi
+
+# Gate 2: the production default is the sparse backend, so the regression gate
 # runs on the sparse headline cell.
 base_headline="$(speedup "$BASELINE" "$HEADLINE_MODEL" deterministic "$T" sparse)"
 cur_headline="$(speedup "$CURRENT" "$HEADLINE_MODEL" deterministic "$T" sparse)"
