@@ -162,12 +162,15 @@ fn main() -> ExitCode {
     };
 
     // Pin the single worker with a long job so the burst meets a queue
-    // that only fills, never drains.
+    // that only fills, never drains. The sweep probes gaps between 1000
+    // and 2000; the incumbent callback certifies about 1600 at the root
+    // and the root bound is 2800, so branch-and-bound has to settle the
+    // upper probes.
     let long = concat!(
         "{\"client\":\"pin\",\"label\":\"pin\",",
         "\"topology\":{\"kind\":\"builtin\",\"name\":\"abilene\",\"cap\":100.0},",
         "\"heuristic\":{\"kind\":\"dp\",\"threshold\":50.0},",
-        "\"sweep\":{\"lo\":0.0,\"hi\":100.0,\"resolution\":0.25},",
+        "\"sweep\":{\"lo\":1000.0,\"hi\":2000.0,\"resolution\":4.0},",
         "\"budget\":{\"probe_cap_nodes\":2000000,\"slice_nodes\":8}}"
     );
     let resp = call("POST", "/jobs", Some(long.as_bytes()));

@@ -1,7 +1,7 @@
 //! Hill climbing (Algorithm 1), simulated annealing, and random search.
 
 use crate::gaussian::GaussianSampler;
-use metaopt_te::{eval::gap, Heuristic, TeInstance, TeResult};
+use metaopt_te::{gap_with, Heuristic, OptEvaluator, TeInstance, TeResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -128,12 +128,13 @@ pub fn hill_climb(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let hi = d_max(inst, cfg);
     let mut gauss = GaussianSampler::new(cfg.sigma_frac * inst.topo.max_capacity());
+    let mut opt = OptEvaluator::new(inst)?;
     let mut tracker = Tracker::new();
     let mut restarts = 0usize;
 
     'outer: loop {
         let mut d = random_demands(inst.n_pairs(), hi, &mut rng);
-        let mut g = gap(inst, heuristic, &d)?;
+        let mut g = gap_with(&mut opt, inst, heuristic, &d)?;
         tracker.observe(&d, g);
         let mut k = 0usize;
         while k < cfg.k_patience {
@@ -144,7 +145,7 @@ pub fn hill_climb(
                 .iter()
                 .map(|&x| (x + gauss.sample(&mut rng)).clamp(0.0, hi))
                 .collect();
-            let ga = gap(inst, heuristic, &aux)?;
+            let ga = gap_with(&mut opt, inst, heuristic, &aux)?;
             tracker.observe(&aux, ga);
             if ga > g {
                 d = aux;
@@ -173,12 +174,13 @@ pub fn simulated_annealing(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let hi = d_max(inst, cfg);
     let mut gauss = GaussianSampler::new(cfg.sigma_frac * inst.topo.max_capacity());
+    let mut opt = OptEvaluator::new(inst)?;
     let mut tracker = Tracker::new();
     let mut restarts = 0usize;
 
     'outer: loop {
         let mut d = random_demands(inst.n_pairs(), hi, &mut rng);
-        let mut g = gap(inst, heuristic, &d)?;
+        let mut g = gap_with(&mut opt, inst, heuristic, &d)?;
         tracker.observe(&d, g);
         let mut temp = cfg.t0;
         let mut iters_at_temp = 0usize;
@@ -193,7 +195,7 @@ pub fn simulated_annealing(
                 .iter()
                 .map(|&x| (x + gauss.sample(&mut rng)).clamp(0.0, hi))
                 .collect();
-            let ga = gap(inst, heuristic, &aux)?;
+            let ga = gap_with(&mut opt, inst, heuristic, &aux)?;
             tracker.observe(&aux, ga);
             let accept = if ga > g {
                 true
@@ -234,11 +236,12 @@ pub fn random_search(
 ) -> TeResult<SearchOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let hi = d_max(inst, cfg);
+    let mut opt = OptEvaluator::new(inst)?;
     let mut tracker = Tracker::new();
     let mut samples = 0usize;
     while !tracker.expired(cfg.time_budget) {
         let d = random_demands(inst.n_pairs(), hi, &mut rng);
-        let g = gap(inst, heuristic, &d)?;
+        let g = gap_with(&mut opt, inst, heuristic, &d)?;
         tracker.observe(&d, g);
         samples += 1;
     }
@@ -248,6 +251,7 @@ pub fn random_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaopt_te::gap;
     use metaopt_topology::synth::figure1_triangle;
 
     fn fig1() -> TeInstance {

@@ -14,9 +14,10 @@ use metaopt_milp::{
 use metaopt_model::{LinExpr, Model, ModelStats, ObjSense, VarRef};
 use metaopt_resilience::{Budget, DegradationLevel, SolverFault};
 use metaopt_te::pop::Partition;
-use metaopt_te::{opt::opt_max_flow, TeInstance};
+use metaopt_te::{opt::opt_max_flow, OptEvaluator, TeInstance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// How the inner OPT problem is encoded (see [`crate::encode_opt`]).
@@ -278,6 +279,11 @@ pub fn build_adversarial_model(
 ///    relaxation and the all-max corner),
 /// 3. a budgeted round-robin coordinate improvement over the level set
 ///    `{0, T, d_hi}` (resp. `{0, d_hi/2, d_hi}`), resumed across calls.
+///
+/// Certification pays only for new work: a memo keyed by the candidate's
+/// demand bit patterns answers every repeat, and OPT is re-solved warm on
+/// one LP per call ([`OptEvaluator`]). The heuristic always runs cold, as
+/// production runs it.
 pub(crate) struct CandidateEvaluator<'a> {
     inst: &'a TeInstance,
     spec: &'a HeuristicSpec,
@@ -294,17 +300,61 @@ pub(crate) struct CandidateEvaluator<'a> {
     /// Evaluation budget per `propose` call.
     evals_per_call: usize,
     calls: usize,
+    /// Certified gap of every candidate seen so far.
+    memo: CertMemo,
+    /// OPT kept warm across candidates (`None` only if its LP failed to
+    /// build, in which case every candidate is solved cold).
+    opt: Option<OptEvaluator>,
+}
+
+/// Demand values the certification memo stores before it starts over
+/// (8 MiB of keys).
+const MEMO_CAP_VALUES: usize = 1 << 20;
+
+/// Certified gaps keyed by the candidate's demand bit patterns.
+#[derive(Default)]
+struct CertMemo {
+    gaps: BTreeMap<Vec<u64>, Option<f64>>,
+    /// Demand values held in `gaps`' keys.
+    values: usize,
+}
+
+impl CertMemo {
+    fn key(demands: &[f64]) -> Vec<u64> {
+        demands.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn get(&self, key: &[u64]) -> Option<Option<f64>> {
+        self.gaps.get(key).copied()
+    }
+
+    /// Stores `gap` under `key`, first clearing the memo if the key would
+    /// take it past [`MEMO_CAP_VALUES`].
+    fn insert(&mut self, key: Vec<u64>, gap: Option<f64>) {
+        if self.values + key.len() > MEMO_CAP_VALUES {
+            self.gaps.clear();
+            self.values = 0;
+        }
+        self.values += key.len();
+        self.gaps.insert(key, gap);
+    }
 }
 
 impl CandidateEvaluator<'_> {
     /// Certified gap of a candidate, or `None` if outside the constrained
-    /// set / the heuristic's domain.
-    fn certify(&self, demands: &[f64]) -> Option<f64> {
+    /// set / the heuristic's domain. OPT's value does not depend on how its
+    /// LP is solved, so it comes from the warm evaluator; a warm re-solve
+    /// that fails falls back to the cold solve, never dropping a candidate.
+    fn certify(&mut self, demands: &[f64]) -> Option<f64> {
         if !self.constraints.contains(demands, 1e-7) {
             return None;
         }
         let heu = self.spec.evaluate(self.inst, demands).ok()??;
-        let opt = opt_max_flow(self.inst, demands).ok()?.total_flow;
+        let warm = self.opt.as_mut().and_then(|o| o.total_flow(demands).ok());
+        let opt = match warm {
+            Some(v) => v,
+            None => opt_max_flow(self.inst, demands).ok()?.total_flow,
+        };
         Some(opt - heu)
     }
 
@@ -348,9 +398,21 @@ impl CandidateEvaluator<'_> {
         }
     }
 
+    /// Counts `demands` against the caller's evaluation budget (repeats
+    /// included, so budgets and the sweep cursor do not depend on the memo)
+    /// and adopts it as the best candidate if it certifies a larger gap.
     fn consider(&mut self, demands: Vec<f64>, evals: &mut usize) {
         *evals += 1;
-        if let Some(g) = self.certify(&demands) {
+        let key = CertMemo::key(&demands);
+        let certified = match self.memo.get(&key) {
+            Some(g) => g,
+            None => {
+                let g = self.certify(&demands);
+                self.memo.insert(key, g);
+                g
+            }
+        };
+        if let Some(g) = certified {
             let better = self.best.as_ref().is_none_or(|(_, bg)| g > *bg);
             if better {
                 self.best = Some((demands, g));
@@ -568,6 +630,8 @@ pub(crate) fn new_candidate_evaluator<'a>(
         sweep_cursor: 0,
         evals_per_call: cfg.callback_evals_per_node,
         calls: 0,
+        memo: CertMemo::default(),
+        opt: OptEvaluator::new(inst).ok(),
     }
 }
 
@@ -767,4 +831,35 @@ pub fn find_diverse_inputs(
         results.push(r);
     }
     Ok(results)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memo_starts_over_when_full() {
+        let mut memo = CertMemo::default();
+        let near_full = vec![0u64; MEMO_CAP_VALUES - 1];
+        memo.insert(near_full.clone(), Some(1.0));
+        memo.insert(vec![7], None);
+        assert_eq!(memo.values, MEMO_CAP_VALUES);
+        assert_eq!(memo.get(&near_full), Some(Some(1.0)));
+        assert_eq!(memo.get(&[7]), Some(None));
+        // One more value would pass the cap: the memo is cleared first.
+        memo.insert(vec![8], Some(2.0));
+        assert_eq!(memo.values, 1);
+        assert_eq!(memo.get(&near_full), None);
+        assert_eq!(memo.get(&[8]), Some(Some(2.0)));
+    }
+
+    #[test]
+    fn memo_keys_are_exact_bit_patterns() {
+        assert_ne!(CertMemo::key(&[0.0]), CertMemo::key(&[-0.0]));
+        assert_ne!(CertMemo::key(&[0.1 + 0.2]), CertMemo::key(&[0.3]));
+        assert_eq!(
+            CertMemo::key(&[50.0, 1000.0]),
+            vec![50f64.to_bits(), 1000f64.to_bits()]
+        );
+    }
 }

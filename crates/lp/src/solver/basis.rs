@@ -97,42 +97,7 @@ impl Simplex {
         // preferred-bound fallback as a cold start when that bound is not
         // finite under the current box.
         for j in 0..total {
-            match self.state[j] {
-                VarState::Basic(_) => {}
-                VarState::AtLower => {
-                    if self.lo[j].is_finite() {
-                        self.x[j] = self.lo[j];
-                    } else if self.hi[j].is_finite() {
-                        self.state[j] = VarState::AtUpper;
-                        self.x[j] = self.hi[j];
-                    } else {
-                        self.state[j] = VarState::FreeZero;
-                        self.x[j] = 0.0;
-                    }
-                }
-                VarState::AtUpper => {
-                    if self.hi[j].is_finite() {
-                        self.x[j] = self.hi[j];
-                    } else if self.lo[j].is_finite() {
-                        self.state[j] = VarState::AtLower;
-                        self.x[j] = self.lo[j];
-                    } else {
-                        self.state[j] = VarState::FreeZero;
-                        self.x[j] = 0.0;
-                    }
-                }
-                VarState::FreeZero => {
-                    if self.lo[j] > 0.0 {
-                        self.state[j] = VarState::AtLower;
-                        self.x[j] = self.lo[j];
-                    } else if self.hi[j] < 0.0 {
-                        self.state[j] = VarState::AtUpper;
-                        self.x[j] = self.hi[j];
-                    } else {
-                        self.x[j] = 0.0;
-                    }
-                }
-            }
+            self.glue_nonbasic(j);
         }
         self.refactor()?;
         self.recompute_basics();

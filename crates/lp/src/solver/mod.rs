@@ -15,9 +15,10 @@
 //!   infeasibility to zero (see [`Simplex::solve`]).
 //! * Phase II is a textbook bounded-variable primal simplex with Dantzig
 //!   pricing and a Bland-rule fallback after long degenerate runs.
-//! * [`Simplex::resolve`] re-optimizes after variable-bound changes with the
-//!   dual simplex — the hot operation of branch-and-bound — and falls back
-//!   to a cold primal solve when the warm basis is not dual feasible.
+//! * [`Simplex::resolve`] re-optimizes after variable-bound or row-range
+//!   changes with the dual simplex — the hot operation of branch-and-bound
+//!   — and falls back to a cold primal solve when the warm basis is not
+//!   dual feasible.
 //!
 //! All basis linear algebra (FTRAN, BTRAN, rank-one updates, periodic
 //! refactorization) goes through [`crate::factor::Factors`], which
@@ -32,7 +33,7 @@ mod primal;
 pub use basis::Basis;
 
 use crate::factor::{FactorBackend, Factors};
-use crate::problem::{LpProblem, VarId};
+use crate::problem::{LpProblem, RowId, VarId};
 use crate::solution::{Solution, SolveStatus};
 use crate::sparse::SparseMat;
 use crate::{LpError, LpResult};
@@ -282,8 +283,6 @@ impl Simplex {
         if lo > hi {
             return Err(LpError::EmptyBounds { var: v.0, lo, hi });
         }
-        self.lo[v.0] = lo;
-        self.hi[v.0] = hi;
         // The cached fallback point is only useful while it stays inside
         // the current box.
         if let Some(best) = &self.best_feasible {
@@ -292,45 +291,55 @@ impl Simplex {
                 self.best_feasible = None;
             }
         }
-        // Keep nonbasic variables glued to an existing bound.
-        match self.state[v.0] {
-            VarState::AtLower => {
-                if lo.is_finite() {
-                    self.x[v.0] = lo;
-                } else if hi.is_finite() {
-                    self.state[v.0] = VarState::AtUpper;
-                    self.x[v.0] = hi;
-                } else {
-                    self.state[v.0] = VarState::FreeZero;
-                    self.x[v.0] = 0.0;
-                }
-            }
-            VarState::AtUpper => {
-                if hi.is_finite() {
-                    self.x[v.0] = hi;
-                } else if lo.is_finite() {
-                    self.state[v.0] = VarState::AtLower;
-                    self.x[v.0] = lo;
-                } else {
-                    self.state[v.0] = VarState::FreeZero;
-                    self.x[v.0] = 0.0;
-                }
-            }
-            VarState::FreeZero => {
-                if lo > 0.0 || hi < 0.0 {
-                    // Zero no longer inside the box; snap to nearest bound.
-                    if lo > 0.0 {
-                        self.state[v.0] = VarState::AtLower;
-                        self.x[v.0] = lo;
-                    } else {
-                        self.state[v.0] = VarState::AtUpper;
-                        self.x[v.0] = hi;
-                    }
-                }
-            }
-            VarState::Basic(_) => {}
-        }
+        self.lo[v.0] = lo;
+        self.hi[v.0] = hi;
+        self.glue_nonbasic(v.0);
         Ok(())
+    }
+
+    /// Overwrites the activity range `[lo, hi]` of row `r` (for warm
+    /// re-solves after a right-hand-side change). The range is the box of
+    /// the row's logical variable, so this is [`Simplex::set_var_bounds`]
+    /// for that variable: the basis stays dual feasible, and
+    /// [`Simplex::resolve`] repairs primal feasibility with the dual
+    /// simplex.
+    pub fn set_row_bounds(&mut self, r: RowId, lo: f64, hi: f64) -> LpResult<()> {
+        if r.0 >= self.m {
+            return Err(LpError::BadIndex(format!("row {}", r.0)));
+        }
+        if lo.is_nan() || hi.is_nan() {
+            return Err(LpError::NotFinite(format!("row range [{lo}, {hi}]")));
+        }
+        if lo > hi {
+            return Err(LpError::EmptyRowRange { row: r.0, lo, hi });
+        }
+        // A cached point carries no row activities to check against the
+        // new range, so drop it: the recovery ladder's last rung must never
+        // return a point left over from an earlier right-hand side.
+        self.best_feasible = None;
+        let s = self.n + r.0;
+        self.lo[s] = lo;
+        self.hi[s] = hi;
+        self.glue_nonbasic(s);
+        Ok(())
+    }
+
+    /// Keeps nonbasic variable `j` on a finite bound of its current box:
+    /// the bound it rests at when finite, else the other one, else free at
+    /// zero; a free variable whose box no longer holds zero moves to the
+    /// bound on zero's side. Basic variables are left alone.
+    fn glue_nonbasic(&mut self, j: usize) {
+        let (lo, hi) = (self.lo[j], self.hi[j]);
+        (self.state[j], self.x[j]) = match self.state[j] {
+            VarState::Basic(_) => return,
+            VarState::AtLower if lo.is_finite() => (VarState::AtLower, lo),
+            VarState::AtUpper if hi.is_finite() => (VarState::AtUpper, hi),
+            VarState::AtLower if hi.is_finite() => (VarState::AtUpper, hi),
+            VarState::AtUpper if lo.is_finite() => (VarState::AtLower, lo),
+            VarState::FreeZero if lo > 0.0 => (VarState::AtLower, lo),
+            VarState::FreeZero if hi < 0.0 => (VarState::AtUpper, hi),
+            _ => (VarState::FreeZero, 0.0),
+        };
     }
 
     /// Current bounds of structural variable `v`.

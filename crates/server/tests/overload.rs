@@ -59,12 +59,17 @@ fn burst_sheds_with_429_and_accepted_jobs_still_complete() {
 
     // Pin the single worker with a deliberately long job (large topology,
     // fine resolution, small slices) so the burst below races a full
-    // queue, not an empty one.
+    // queue, not an empty one. The sweep probes gaps between 1000 and
+    // 2000; the incumbent callback certifies about 1600 at the root and
+    // the root bound is 2800, so branch-and-bound has to settle the upper
+    // probes and the job's length does not shrink with the callback's
+    // cost. The test checks below that the pin still holds when the burst
+    // ends.
     let long = concat!(
         "{\"client\":\"pin\",\"label\":\"pin\",",
         "\"topology\":{\"kind\":\"builtin\",\"name\":\"abilene\",\"cap\":100.0},",
         "\"heuristic\":{\"kind\":\"dp\",\"threshold\":50.0},",
-        "\"sweep\":{\"lo\":0.0,\"hi\":100.0,\"resolution\":0.25},",
+        "\"sweep\":{\"lo\":1000.0,\"hi\":2000.0,\"resolution\":4.0},",
         "\"budget\":{\"probe_cap_nodes\":2000000,\"slice_nodes\":8}}"
     );
     let resp = call(&addr, "POST", "/jobs", Some(long.as_bytes()));
@@ -119,6 +124,13 @@ fn burst_sheds_with_429_and_accepted_jobs_still_complete() {
         assert!(health.get("queue_depth").and_then(Json::as_u64).unwrap() <= 8);
     }
 
+    // The premise of the count below: the pin outlasted the burst.
+    let pin = Json::parse(&call(&addr, "GET", &format!("/jobs/{pin_id}"), None).text()).unwrap();
+    assert_eq!(
+        pin.get("running").and_then(Json::as_bool),
+        Some(true),
+        "the pin job ended during the burst: {pin:?}"
+    );
     assert!(
         shed >= 100,
         "a 120-burst against queue bound 8 with a pinned worker must shed \

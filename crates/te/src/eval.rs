@@ -1,10 +1,12 @@
 //! Gap evaluation `OPT(d) − Heuristic(d)` (Eq. 1's objective for concrete
-//! inputs) — the oracle the black-box baselines query and the incumbent
-//! callback of the white-box search uses to certify candidates.
+//! inputs) — the oracle the black-box baselines query. The white-box
+//! search's incumbent callback certifies its candidates through its own
+//! evaluator (`metaopt_core::HeuristicSpec`, which keeps DP-infeasible
+//! inputs out instead of scoring them 0) with the same [`OptEvaluator`].
 
 use crate::demand_pinning::demand_pinning;
 use crate::instance::TeInstance;
-use crate::opt::opt_max_flow;
+use crate::opt::{opt_max_flow, OptEvaluator};
 use crate::pop::{pop_average, Partition};
 use crate::TeResult;
 
@@ -54,6 +56,23 @@ impl Heuristic {
 /// `OPT(d) − Heuristic(d)` in absolute flow units.
 pub fn gap(inst: &TeInstance, heuristic: &Heuristic, demands: &[f64]) -> TeResult<f64> {
     let opt = opt_max_flow(inst, demands)?.total_flow;
+    let heu = heuristic.total_flow(inst, demands)?;
+    Ok(opt - heu)
+}
+
+/// [`gap`] with OPT re-solved warm on `opt`, an [`OptEvaluator`] built for
+/// `inst`; the heuristic still runs cold. A failed warm re-solve falls
+/// back to the cold [`opt_max_flow`], so every input gets [`gap`]'s value.
+pub fn gap_with(
+    opt: &mut OptEvaluator,
+    inst: &TeInstance,
+    heuristic: &Heuristic,
+    demands: &[f64],
+) -> TeResult<f64> {
+    let opt = match opt.total_flow(demands) {
+        Ok(v) => v,
+        Err(_) => opt_max_flow(inst, demands)?.total_flow,
+    };
     let heu = heuristic.total_flow(inst, demands)?;
     Ok(opt - heu)
 }

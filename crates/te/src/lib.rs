@@ -11,15 +11,16 @@
 //! * [`flow`] — builders that emit the `FeasibleFlow` polytope (Eq. 2) into
 //!   a model or an [`InnerProblem`] with *symbolic* demand volumes (the
 //!   leader's variables of Eq. 1),
-//! * [`opt`] — `OptMaxFlow` (Eq. 3): the optimal total-flow LP and a fast
-//!   direct evaluator,
+//! * [`opt`] — `OptMaxFlow` (Eq. 3): the optimal total-flow LP, a cold
+//!   direct evaluator, and [`OptEvaluator`], which re-solves one LP warm
+//!   across many demand vectors,
 //! * [`demand_pinning`] — the production Demand Pinning heuristic
 //!   (Eqs. 4–5): combinatorial evaluator (pin-below-threshold on shortest
 //!   paths, then optimize the rest) and the big-M optimization form,
 //! * [`pop`] — POP (Eq. 6): random demand partitions with capacity
 //!   splitting, plus the Appendix-A *client splitting* extension,
-//! * [`eval`] — gap evaluation `OPT(d) − Heuristic(d)` used by the
-//!   black-box baselines and the branch-and-bound incumbent callback.
+//! * [`eval`] — gap evaluation `OPT(d) − Heuristic(d)` for the black-box
+//!   baselines.
 
 pub mod demand_pinning;
 pub mod eval;
@@ -32,9 +33,9 @@ pub mod utility;
 
 pub use demand_pinning::{pin_set, DpOutcome};
 pub use fairness::{max_min_fair, MaxMinOutcome};
-pub use eval::{gap, normalized_gap, Heuristic};
+pub use eval::{gap, gap_with, normalized_gap, Heuristic};
 pub use instance::TeInstance;
-pub use opt::OptOutcome;
+pub use opt::{OptEvaluator, OptOutcome};
 pub use pop::{client_split, random_partitions, Partition, PopOutcome};
 pub use utility::{max_utility, UtilityCurve, UtilityOutcome};
 

@@ -1,9 +1,11 @@
-//! `OptMaxFlow` (Eq. 3): the optimal scheme and its fast evaluator.
+//! `OptMaxFlow` (Eq. 3): the optimal scheme and its fast evaluators — a
+//! cold solve per demand vector ([`opt_max_flow`]) and a warm one that
+//! keeps one LP across many vectors ([`OptEvaluator`]).
 
 use crate::flow::opt_max_flow_lp;
 use crate::instance::TeInstance;
 use crate::{TeError, TeResult};
-use metaopt_lp::{Simplex, SolveStatus};
+use metaopt_lp::{FaultPlan, RowId, Simplex, SolveStatus, NEG_INF};
 
 /// Result of evaluating the optimal scheme on concrete demands.
 #[derive(Debug, Clone)]
@@ -35,6 +37,63 @@ pub fn opt_max_flow(inst: &TeInstance, demands: &[f64]) -> TeResult<OptOutcome> 
         total_flow: -sol.objective,
         flows,
     })
+}
+
+/// `OptMaxFlow` re-solved warm across many demand vectors on one instance.
+///
+/// Demands enter the LP only as the right-hand sides of its demand rows,
+/// and the costs never change, so the last optimal basis stays dual
+/// feasible for the next vector: [`OptEvaluator::total_flow`] moves the
+/// demand rows and lets the dual simplex repair the basis, usually in a
+/// few pivots. The first call has no basis yet and solves cold, exactly
+/// as [`opt_max_flow`] does.
+pub struct OptEvaluator {
+    simplex: Simplex,
+    n_pairs: usize,
+}
+
+impl OptEvaluator {
+    /// Builds the LP of `inst` (demand rows first, see
+    /// [`opt_max_flow_lp`]) without solving it.
+    pub fn new(inst: &TeInstance) -> TeResult<Self> {
+        let (lp, _) = opt_max_flow_lp(inst, &vec![0.0; inst.n_pairs()])?;
+        Ok(OptEvaluator {
+            simplex: Simplex::new(&lp),
+            n_pairs: inst.n_pairs(),
+        })
+    }
+
+    /// Total carried flow `Σ_k f_k` at `demands`: [`opt_max_flow`]'s value,
+    /// up to the rounding of a different pivot path. A re-solve that ends
+    /// other than Optimal, or degraded by the simplex recovery ladder, is
+    /// an error, so a caller can fall back to the cold [`opt_max_flow`]
+    /// and lose no input.
+    pub fn total_flow(&mut self, demands: &[f64]) -> TeResult<f64> {
+        if demands.len() != self.n_pairs {
+            return Err(TeError::DemandMismatch {
+                expected: self.n_pairs,
+                got: demands.len(),
+            });
+        }
+        for (k, d) in demands.iter().enumerate() {
+            self.simplex.set_row_bounds(RowId(k), NEG_INF, d.max(0.0))?;
+        }
+        let sol = self.simplex.resolve()?;
+        if sol.status != SolveStatus::Optimal || sol.degraded {
+            return Err(TeError::Model(format!(
+                "warm OptMaxFlow re-solve ended {:?} (degraded: {})",
+                sol.status, sol.degraded
+            )));
+        }
+        Ok(-sol.objective)
+    }
+
+    /// Installs (or clears) a deterministic fault-injection plan on the
+    /// underlying simplex. Used by the fault-injection tests; production
+    /// callers leave this `None`.
+    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        self.simplex.set_fault_plan(plan);
+    }
 }
 
 #[cfg(test)]
