@@ -5,6 +5,12 @@
 //! the node count, the status, the gap values along the incumbent
 //! trajectory and the reported demands. The constants were captured from
 //! the callback that solved every candidate's OPT cold and kept no memo.
+//! One constant was captured later: line4's node count. It moved from 773
+//! to 531 when the serial engine began starting each heap node from its
+//! parent's optimal basis, which changes the LP vertices, and so the
+//! branching, of a proof run. 531 is also what the deterministic engine
+//! explores on the same call at one thread, which has always warm-started
+//! every node from its parent.
 //!
 //! Every search runs branch-and-bound on one thread over the sparse LU
 //! backend, whatever `METAOPT_THREADS` and `METAOPT_FACTOR` say. The
@@ -49,7 +55,7 @@ const GOLDEN: &[Golden] = &[
         name: "line4",
         model_gap: 29.999999999996,
         verified_gap: 29.999999999996,
-        nodes: 773,
+        nodes: 531,
         status: MilpStatus::Optimal,
         trajectory: &[29.999999999996],
         demands: &[10.0, 5.0, 5.0, 10.0, 10.0, 10.0, 5.0, 10.0, 10.0, 5.0, 10.0, 10.0],

@@ -26,9 +26,9 @@
 //! * full trajectory recording (best objective vs. time) for Figure 3,
 //! * two interchangeable tree-search engines (see [`ParallelMode`]): the
 //!   serial search and a **deterministic parallel** engine whose certified
-//!   results and checkpoints are bit-identical at any thread count, and
-//!   which warm-starts node LPs from parent [`metaopt_lp::Basis`]
-//!   snapshots.
+//!   results and checkpoints are bit-identical at any thread count. Both
+//!   solve every node LP but the root from its parent's optimal basis
+//!   (the live one, or a [`metaopt_lp::Basis`] snapshot).
 
 mod metrics;
 mod parallel;

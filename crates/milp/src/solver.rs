@@ -1,7 +1,7 @@
 //! The branch-and-bound search.
 
 use crate::{MilpError, MilpResult};
-use metaopt_lp::{Simplex, SolveStatus, VarId};
+use metaopt_lp::{Basis, Simplex, SolveStatus, VarId};
 use metaopt_model::{compile::compile, CompiledModel, Model};
 use metaopt_resilience::{Budget, FaultPlan, FaultSite, SolverFault};
 use std::cmp::Ordering;
@@ -649,6 +649,12 @@ struct Node {
     /// Parent relaxation objective (min-space): a valid bound for this node.
     bound: f64,
     depth: usize,
+    /// The parent's optimal basis, which a child only tightens bounds
+    /// against, so it stays dual feasible. Set on the child that waits in
+    /// the heap; `None` for the root, the dive child (solved next, from the
+    /// live basis, which already is the parent's) and nodes loaded from a
+    /// checkpoint (which carries no bases).
+    basis: Option<Basis>,
 }
 
 /// Heap wrapper ordered so the smallest `bound` pops first.
@@ -816,6 +822,7 @@ impl<'a> Search<'a> {
                     changes,
                     bound,
                     depth,
+                    basis: None,
                 }));
             }
         }
@@ -989,6 +996,7 @@ impl<'a> Search<'a> {
                 changes: Vec::new(),
                 bound: f64::NEG_INFINITY,
                 depth: 0,
+                basis: None,
             };
             self.dive = Some(root);
         }
@@ -1013,7 +1021,11 @@ impl<'a> Search<'a> {
         // The simplex runs its own recovery ladder; what surfaces here is
         // either terminal or a verdict.
         let iters_before = self.simplex.iterations();
-        let sol = match self.simplex.resolve() {
+        let solved = match &node.basis {
+            Some(b) => self.simplex.resolve_from(b),
+            None => self.simplex.resolve(),
+        };
+        let sol = match solved {
             Ok(s) => {
                 self.lp_stats.record(
                     self.simplex.last_solve_warm(),
@@ -1115,6 +1127,30 @@ impl<'a> Search<'a> {
         most_violated_compl(self.cm, self.cfg.compl_tol, lp_x)
     }
 
+    /// Queues a branched node's children: the dive child is solved next
+    /// from the live basis; the other waits in the heap with a snapshot of
+    /// that basis, the parent's optimum.
+    fn push_children(
+        &mut self,
+        dive_changes: Vec<(VarId, f64, f64)>,
+        alt_changes: Vec<(VarId, f64, f64)>,
+        bound: f64,
+        depth: usize,
+    ) {
+        self.dive = Some(Node {
+            changes: dive_changes,
+            bound,
+            depth,
+            basis: None,
+        });
+        self.heap.push(ByBound(Node {
+            changes: alt_changes,
+            bound,
+            depth,
+            basis: self.simplex.snapshot_basis(),
+        }));
+    }
+
     fn branch_binary(&mut self, node: Node, v: VarId, value: f64, obj: f64) {
         let rounded = value.round().clamp(0.0, 1.0);
         let mut dive_changes = node.changes.clone();
@@ -1122,16 +1158,7 @@ impl<'a> Search<'a> {
         let other = 1.0 - rounded;
         let mut alt_changes = node.changes;
         alt_changes.push((v, other, other));
-        self.dive = Some(Node {
-            changes: dive_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        });
-        self.heap.push(ByBound(Node {
-            changes: alt_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        }));
+        self.push_children(dive_changes, alt_changes, obj, node.depth + 1);
     }
 
     fn branch_compl(
@@ -1153,16 +1180,7 @@ impl<'a> Search<'a> {
         dive_changes.push((fix_first, 0.0, 0.0));
         let mut alt_changes = node.changes;
         alt_changes.push((fix_second, 0.0, 0.0));
-        self.dive = Some(Node {
-            changes: dive_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        });
-        self.heap.push(ByBound(Node {
-            changes: alt_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        }));
+        self.push_children(dive_changes, alt_changes, obj, node.depth + 1);
     }
 
     fn finish(mut self, start: Instant) -> (MilpSolution, Option<Checkpoint>) {

@@ -284,3 +284,42 @@ fn auto_mode_matches_serial_certification() {
         );
     }
 }
+
+/// The serial engine solves every node LP but the root from its parent's
+/// optimal basis: the dive child from the live basis, the heap child from
+/// the snapshot it carries. A child only tightens bounds, so that basis is
+/// dual feasible and no node falls back to a cold solve. The certified
+/// objective is the deterministic engine's, which warm-starts every node
+/// the same way.
+#[test]
+fn serial_engine_solves_only_its_root_lp_cold() {
+    for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
+        let serial = solve(
+            &model,
+            &MilpConfig {
+                threads: 1,
+                parallel: ParallelMode::Serial,
+                ..MilpConfig::default()
+            },
+        )
+        .unwrap();
+        let det = solve(&model, &det_cfg(1)).unwrap();
+        assert_eq!(
+            serial.status,
+            MilpStatus::Optimal,
+            "{name}: serial did not certify"
+        );
+        assert_eq!(
+            serial.lp_stats.cold_solves, 1,
+            "{name}: {:?} over {} nodes",
+            serial.lp_stats, serial.nodes
+        );
+        assert_eq!(
+            serial.objective.to_bits(),
+            det.objective.to_bits(),
+            "{name}: serial objective {} vs deterministic {}",
+            serial.objective,
+            det.objective
+        );
+    }
+}
