@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the solver substrates: simplex cold solve,
-//! dual-simplex warm re-solve, KKT model construction, and branch-and-bound
-//! on a small complementarity system.
+//! dual-simplex warm re-solve, the B4 DP root LP (its cold solve, and a
+//! basis install, which is one refactorization), KKT model construction,
+//! and branch-and-bound on a small complementarity system.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{ConstrainedSet, FinderConfig, HeuristicSpec};
-use metaopt_lp::{Simplex, VarId};
+use metaopt_lp::{LpProblem, Simplex, VarId};
 use metaopt_milp::{solve, MilpConfig};
 use metaopt_model::compile::compile;
 use metaopt_model::{kkt, InnerProblem, LinExpr, Model, ObjSense, Sense};
@@ -44,6 +45,40 @@ fn bench_simplex_warm(c: &mut Criterion) {
             sx.set_var_bounds(VarId(0), 0.0, hi).unwrap();
             let sol = sx.resolve().unwrap();
             std::hint::black_box(sol.status)
+        });
+    });
+}
+
+/// The LP relaxation at the root of the B4 DP search (2000 rows), the LP
+/// a finder call spends most of its time in.
+fn b4_dp_root_lp() -> LpProblem {
+    let inst = TeInstance::all_pairs(builtin::b4(1000.0), 2).unwrap();
+    let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
+    let am = build_adversarial_model(
+        &inst,
+        &spec,
+        &ConstrainedSet::unconstrained(),
+        &FinderConfig::default(),
+    )
+    .unwrap();
+    compile(&am.model).unwrap().lp
+}
+
+fn bench_b4_dp_root(c: &mut Criterion) {
+    let lp = b4_dp_root_lp();
+    c.bench_function("simplex_cold_b4_dp_root", |b| {
+        b.iter(|| {
+            let sol = Simplex::new(&lp).solve().unwrap();
+            std::hint::black_box(sol.objective)
+        });
+    });
+    let mut sx = Simplex::new(&lp);
+    sx.solve().unwrap();
+    let basis = sx.snapshot_basis().unwrap();
+    c.bench_function("install_basis_b4_dp_root", |b| {
+        b.iter(|| {
+            sx.install_basis(&basis).unwrap();
+            std::hint::black_box(sx.iterations())
         });
     });
 }
@@ -99,6 +134,6 @@ fn bench_bnb_complementarity(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_simplex_cold, bench_simplex_warm, bench_kkt_build, bench_bnb_complementarity
+    targets = bench_simplex_cold, bench_simplex_warm, bench_b4_dp_root, bench_kkt_build, bench_bnb_complementarity
 }
 criterion_main!(benches);

@@ -12,6 +12,12 @@
 //! explores on the same call at one thread, which has always warm-started
 //! every node from its parent.
 //!
+//! The MILP's LP work is pinned too: pivots, basis updates,
+//! refactorizations and warm/cold solves, read from a registered
+//! `MilpMetrics`. A kernel change that moves a pivot but reaches the same
+//! answer fails here. These counts were captured with the serial engine's
+//! parent-basis warm starts in place.
+//!
 //! Every search runs branch-and-bound on one thread over the sparse LU
 //! backend, whatever `METAOPT_THREADS` and `METAOPT_FACTOR` say. The
 //! callback's own LPs follow `METAOPT_FACTOR`. On the dense backend a warm
@@ -24,7 +30,8 @@ use metaopt_core::{
     find_adversarial_gap, ConstrainedSet, FactorBackend, FinderConfig, GapResult, HeuristicSpec,
     PopMode,
 };
-use metaopt_milp::MilpStatus;
+use metaopt_milp::{MilpMetrics, MilpStatus};
+use metaopt_obs::Registry;
 use metaopt_te::{pop::random_partitions, TeInstance};
 use metaopt_topology::{builtin, synth};
 use rand::rngs::StdRng;
@@ -38,6 +45,9 @@ struct Golden {
     status: MilpStatus,
     trajectory: &'static [f64],
     demands: &'static [f64],
+    /// The MILP's LP work: pivots, basis updates, refactorizations, warm
+    /// solves and cold solves.
+    lp: [u64; 5],
 }
 
 #[rustfmt::skip]
@@ -50,6 +60,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Optimal,
         trajectory: &[50.0],
         demands: &[50.0, 100.0, 100.0],
+        lp: [70, 70, 14, 24, 1],
     },
     Golden {
         name: "line4",
@@ -59,6 +70,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Optimal,
         trajectory: &[29.999999999996],
         demands: &[10.0, 5.0, 5.0, 10.0, 10.0, 10.0, 5.0, 10.0, 10.0, 5.0, 10.0, 10.0],
+        lp: [1104, 1104, 268, 530, 1],
     },
     Golden {
         name: "line5",
@@ -68,6 +80,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[49.999999999994],
         demands: &[10.0, 10.0, 5.0, 5.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 5.0, 10.0, 10.0, 10.0, 5.0, 10.0, 10.0, 10.0],
+        lp: [836, 836, 95, 399, 1],
     },
     Golden {
         name: "b4",
@@ -77,6 +90,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[7500.0],
         demands: &[1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0],
+        lp: [2911, 2911, 50, 29, 1],
     },
     Golden {
         name: "abilene",
@@ -86,6 +100,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[7800.0],
         demands: &[1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0],
+        lp: [2042, 2042, 36, 39, 1],
     },
     Golden {
         name: "swan",
@@ -95,6 +110,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[3600.0],
         demands: &[1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0],
+        lp: [2103, 2103, 37, 39, 1],
     },
     Golden {
         name: "b4pop",
@@ -104,6 +120,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[13650.0, 16800.0],
         demands: &[1000.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 1000.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 0.0, 1000.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 1000.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 0.0, 1000.0, 0.0, 1000.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 0.0, 1000.0, 0.0, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1000.0, 1000.0],
+        lp: [6580, 6580, 153, 19, 1],
     },
     Golden {
         name: "b4quant",
@@ -113,6 +130,7 @@ const GOLDEN: &[Golden] = &[
         status: MilpStatus::Feasible,
         trajectory: &[7500.0],
         demands: &[1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 50.0, 50.0, 1000.0, 50.0, 1000.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 1000.0, 1000.0],
+        lp: [3479, 3479, 71, 19, 1],
     },
 ];
 
@@ -172,10 +190,19 @@ fn check(name: &str) {
     if max_nodes > 0 {
         cfg.milp.max_nodes = max_nodes;
     }
+    let metrics = MilpMetrics::register(&Registry::new());
+    cfg.milp.metrics = metrics.clone();
     let r: GapResult = find_adversarial_gap(&inst, &spec, &constraints, &cfg).unwrap();
     let trajectory: Vec<f64> = r.trajectory.iter().map(|&(_, g)| g).collect();
+    let lp = [
+        metrics.lp.pivots.get(),
+        metrics.lp.updates.get(),
+        metrics.lp.refactors.get(),
+        metrics.lp.warm_solves.get(),
+        metrics.lp.cold_solves.get(),
+    ];
     let now = format!(
-        "{name}: model_gap {:?} verified_gap {:?} nodes {} status {:?} trajectory {trajectory:?} demands {:?}",
+        "{name}: model_gap {:?} verified_gap {:?} nodes {} status {:?} lp {lp:?} trajectory {trajectory:?} demands {:?}",
         r.model_gap, r.verified_gap, r.nodes, r.status, r.demands
     );
     let exact = FactorBackend::from_env() == FactorBackend::SparseLU;
@@ -193,6 +220,7 @@ fn check(name: &str) {
         "{now}"
     );
     assert_eq!(r.nodes, golden.nodes, "{now}");
+    assert_eq!(lp, golden.lp, "{now}");
     assert_eq!(r.status, golden.status, "{now}");
     assert_eq!(trajectory.len(), golden.trajectory.len(), "{now}");
     for (&g, &want) in trajectory.iter().zip(golden.trajectory) {

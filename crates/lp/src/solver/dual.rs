@@ -5,7 +5,8 @@
 //! depend only on the basis), so the dual simplex restores primal
 //! feasibility in a handful of pivots instead of re-solving from scratch.
 
-use super::{Basis, Simplex, VarState};
+use super::{Basis, PivotRow, Simplex, VarState};
+use crate::factor::nonzero_positions;
 use crate::solution::{Solution, SolveStatus};
 use crate::{LpError, LpResult};
 use metaopt_resilience::SolverFault;
@@ -34,8 +35,19 @@ impl Simplex {
         if !self.restore_dual_feasibility() {
             return Ok(None);
         }
+        let mut row = self.take_pivot_row();
+        let out = self.dual_pivots(&mut row);
+        self.pivot_row = Some(row);
+        out
+    }
+
+    fn dual_pivots(&mut self, row: &mut PivotRow) -> LpResult<Option<SolveStatus>> {
         let limit = self.auto_iter_limit();
         let mut w = vec![0.0; self.m];
+        let mut rho = vec![0.0; self.m];
+        let mut y = vec![0.0; self.m];
+        // Ascending nonzero positions of `w`, and rows holding ρ's.
+        let (mut w_nz, mut rho_rows) = (Vec::new(), Vec::new());
         let mut local_iters = 0usize;
         // Degenerate-pivot streak: the dual simplex has no Bland rule, so a
         // long streak hands control back to the (anti-cycling) primal
@@ -85,8 +97,8 @@ impl Simplex {
             let delta = self.x[leaving] - target; // >0 if above upper, <0 if below lower
 
             // Pivot row ρ = e_posᵀ B⁻¹ (backend-agnostic unit BTRAN).
-            let rho = self.btran_unit(pos);
-            let y = self.btran_duals();
+            self.btran_unit(pos, &mut rho, &mut rho_rows);
+            self.btran_duals(&mut y);
 
             // Entering: among nonbasic j whose movement can pull the leaving
             // variable onto `target`, pick the one preserving dual
@@ -95,8 +107,15 @@ impl Simplex {
             // ∂x_B[pos]/∂x_j = −α_j with α_j = ρᵀ a_j. If delta > 0 we must
             // decrease x_B[pos]: j at lower (Δx_j ≥ 0) requires α_j > 0,
             // j at upper requires α_j < 0. If delta < 0, signs flip.
+            //
+            // α is formed row-wise over ρ's nonzero rows. A column it does
+            // not touch has α_j = 0, which every branch below skips, so
+            // scanning the touched columns in ascending order finds the
+            // same entering variable as a scan over all of them.
+            row.compute(&rho, &rho_rows);
+            row.touched.sort_unstable();
             let mut best: Option<(usize, f64, f64)> = None; // (var, alpha, ratio)
-            for j in 0..self.total_vars() {
+            for &j in &row.touched {
                 let at_lower = match self.state[j] {
                     VarState::Basic(_) => continue,
                     VarState::AtLower => true,
@@ -104,7 +123,7 @@ impl Simplex {
                     VarState::FreeZero => {
                         // Free nonbasic variables can move either way; they
                         // are always eligible if α_j is significant.
-                        let alpha = self.row_dot(&rho, j);
+                        let alpha = row.alpha[j];
                         if alpha.abs() <= self.cfg.pivot_tol {
                             continue;
                         }
@@ -117,7 +136,7 @@ impl Simplex {
                 if self.lo[j] >= self.hi[j] {
                     continue; // fixed variables cannot move
                 }
-                let alpha = self.row_dot(&rho, j);
+                let alpha = row.alpha[j];
                 if alpha.abs() <= self.cfg.pivot_tol {
                     continue;
                 }
@@ -156,7 +175,8 @@ impl Simplex {
                 degen_streak = 0;
             }
             self.ftran(q, &mut w);
-            if w.iter().any(|v| !v.is_finite()) || !step.is_finite() {
+            nonzero_positions(&w, &mut w_nz);
+            if w_nz.iter().any(|&i| !w[i].is_finite()) || !step.is_finite() {
                 return Err(LpError::Fault(SolverFault::NumericalBreakdown(format!(
                     "non-finite dual pivot data for entering column {q}"
                 ))));
@@ -180,18 +200,16 @@ impl Simplex {
             let gr = gamma[pos];
             let inv_wr2 = 1.0 / (wr * wr);
             let mut overflow = false;
-            for (i, g) in gamma.iter_mut().enumerate().take(self.m) {
+            for &i in &w_nz {
                 if i == pos {
                     continue;
                 }
                 let wi = w[i];
-                if wi != 0.0 {
-                    let cand = wi * wi * inv_wr2 * gr;
-                    if cand > *g {
-                        *g = cand;
-                        if cand > 1e8 {
-                            overflow = true;
-                        }
+                let cand = wi * wi * inv_wr2 * gr;
+                if cand > gamma[i] {
+                    gamma[i] = cand;
+                    if cand > 1e8 {
+                        overflow = true;
                     }
                 }
             }
@@ -199,21 +217,17 @@ impl Simplex {
             if overflow {
                 gamma.iter_mut().for_each(|g| *g = 1.0);
             }
-            self.update_basis(pos, q, &w);
+            self.update_basis(pos, q, &w, &w_nz);
             self.iterations += 1;
         }
-    }
-
-    /// `ρᵀ a_j` for a dense row vector `ρ`.
-    fn row_dot(&self, rho: &[f64], j: usize) -> f64 {
-        self.cols.col_dot(j, rho)
     }
 
     /// Flips nonbasic variables whose reduced-cost sign disagrees with the
     /// bound they sit at (possible after bound relaxation). Returns false if
     /// dual feasibility cannot be restored by flips alone.
     fn restore_dual_feasibility(&mut self) -> bool {
-        let y = self.btran_duals();
+        let mut y = vec![0.0; self.m];
+        self.btran_duals(&mut y);
         let tol = self.cfg.opt_tol.max(1e-6);
         let mut flipped = false;
         for j in 0..self.total_vars() {

@@ -31,6 +31,7 @@ mod dual;
 mod primal;
 
 pub use basis::Basis;
+use primal::PivotRow;
 
 use crate::factor::{FactorBackend, Factors};
 use crate::problem::{LpProblem, RowId, VarId};
@@ -127,6 +128,10 @@ pub struct Simplex {
     factors: Factors,
     /// Current values of *all* variables (basic ones solved, nonbasic at bound).
     x: Vec<f64>,
+    /// Row-wise copy of `cols` for the pivot rows of both simplex loops;
+    /// built on first use and dropped whenever the columns change
+    /// (artificials added or dropped, rows equilibrated).
+    pivot_row: Option<PivotRow>,
 
     pivots_since_refactor: usize,
     degen_run: usize,
@@ -194,6 +199,7 @@ impl Simplex {
             basis: Vec::new(),
             factors,
             x: vec![0.0; total],
+            pivot_row: None,
             pivots_since_refactor: 0,
             degen_run: 0,
             iterations: 0,
@@ -368,7 +374,7 @@ impl Simplex {
                 "injected singular refactorization".into(),
             )));
         }
-        self.factors = Factors::factorize(self.cfg.backend, &self.cols, &self.basis)?;
+        self.factors.refactorize(&self.cols, &self.basis)?;
         self.pivots_since_refactor = 0;
         self.metrics.refactors.inc();
         Ok(())
@@ -418,22 +424,31 @@ impl Simplex {
     }
 
     /// `w = B⁻¹ a_j` for variable `j`'s column.
-    pub(crate) fn ftran(&self, j: usize, out: &mut [f64]) {
+    pub(crate) fn ftran(&mut self, j: usize, out: &mut [f64]) {
         self.factors.ftran_col(&self.cols, j, out);
     }
 
     /// `y = c_Bᵀ B⁻¹` using the current working costs.
-    pub(crate) fn btran_duals(&self) -> Vec<f64> {
-        let cb: Vec<f64> = self.basis.iter().map(|&j| self.work_cost[j]).collect();
-        self.factors.btran(&cb)
+    pub(crate) fn btran_duals(&mut self, y: &mut [f64]) {
+        let cost = &self.work_cost;
+        self.factors.btran(self.basis.iter().map(|&j| cost[j]), y);
     }
 
     /// Row `pos` of `B⁻¹` (`ρ = e_posᵀ B⁻¹`): the shared pivot row used
     /// by devex weight updates, incremental dual updates, and the dual
     /// simplex ratio test. Backend-agnostic — the dense engine copies an
-    /// inverse row, the sparse engine runs a unit BTRAN.
-    pub(crate) fn btran_unit(&self, pos: usize) -> Vec<f64> {
-        self.factors.btran_unit(pos)
+    /// inverse row, the sparse engine runs a unit BTRAN. `rows` receives
+    /// ascending rows that hold every nonzero of `ρ`.
+    pub(crate) fn btran_unit(&mut self, pos: usize, rho: &mut [f64], rows: &mut Vec<usize>) {
+        self.factors.btran_unit(pos, rho, rows);
+    }
+
+    /// The row-wise copy of the columns for one simplex loop, built if
+    /// the columns changed since the last loop put it back.
+    pub(crate) fn take_pivot_row(&mut self) -> PivotRow {
+        self.pivot_row
+            .take()
+            .unwrap_or_else(|| PivotRow::new(&self.cols))
     }
 
     /// Recomputes every basic variable's value from the nonbasic point.
@@ -461,10 +476,11 @@ impl Simplex {
     }
 
     /// Replaces basis position `pos` with variable `entering`; `w` must be
-    /// `B⁻¹ a_entering`. Applies the backend's rank-one update (dense
-    /// elementary row ops or one product-form eta).
-    pub(crate) fn update_basis(&mut self, pos: usize, entering: usize, w: &[f64]) {
-        self.factors.update(pos, w);
+    /// `B⁻¹ a_entering`, with its nonzeros listed in ascending order in
+    /// `nz`. Applies the backend's rank-one update (dense elementary row
+    /// ops or one product-form eta).
+    pub(crate) fn update_basis(&mut self, pos: usize, entering: usize, w: &[f64], nz: &[usize]) {
+        self.factors.update(pos, w, nz);
         self.basis[pos] = entering;
         self.state[entering] = VarState::Basic(pos);
         self.pivots_since_refactor += 1;
@@ -624,6 +640,7 @@ impl Simplex {
             }
         }
         self.cols.scale_rows(&scale);
+        self.pivot_row = None;
         match &mut self.row_scale {
             Some(prev) => prev.iter_mut().zip(&scale).for_each(|(p, s)| *p *= s),
             None => self.row_scale = Some(scale),
@@ -732,6 +749,7 @@ impl Simplex {
             cols.push_col(self.cols.col(j));
         }
         self.cols = cols;
+        self.pivot_row = None;
         self.lo.truncate(n + m);
         self.hi.truncate(n + m);
         self.cost.truncate(n + m);
@@ -787,6 +805,9 @@ impl Simplex {
                 self.x[s] = ai;
                 self.basis.push(s);
             }
+        }
+        if !artificial_cols.is_empty() {
+            self.pivot_row = None;
         }
         for (i, sign, value) in artificial_cols {
             let col = self.cols.push_col([(i, sign)]);
@@ -844,7 +865,8 @@ impl Simplex {
             // Duals under the *original* costs.
             let saved = std::mem::replace(&mut self.work_cost, self.cost.clone());
             self.work_cost.resize(self.total_vars(), 0.0);
-            let y = self.btran_duals();
+            let mut y = vec![0.0; self.m];
+            self.btran_duals(&mut y);
             self.work_cost = saved;
             y
         };

@@ -1,6 +1,7 @@
 //! Phase-I/II bounded-variable primal simplex iterations.
 
 use super::{Simplex, VarState};
+use crate::factor::nonzero_positions;
 use crate::solution::SolveStatus;
 use crate::sparse::SparseMat;
 use crate::{LpError, LpResult};
@@ -15,19 +16,21 @@ enum Entering {
 
 /// The pivot row `α = ρᵀA` of one basis change, accumulated row by row
 /// over a transposed copy of the columns, so its cost follows the
-/// nonzeros of `ρ = e_posᵀB⁻¹` rather than the column count.
-struct PivotRow {
+/// nonzeros of `ρ = e_posᵀB⁻¹` rather than the column count. The
+/// [`Simplex`] keeps one across solves and rebuilds it only when its
+/// columns change.
+pub(crate) struct PivotRow {
     /// The solver's columns (structural, logical, artificial) row-wise.
     rows: SparseMat,
-    alpha: Vec<f64>,
+    pub(super) alpha: Vec<f64>,
     seen: Vec<bool>,
     /// Columns with an entry in a row where `ρ` is nonzero; every other
     /// column has `α_j = 0` and an unchanged reduced cost.
-    touched: Vec<usize>,
+    pub(super) touched: Vec<usize>,
 }
 
 impl PivotRow {
-    fn new(cols: &SparseMat) -> PivotRow {
+    pub(super) fn new(cols: &SparseMat) -> PivotRow {
         let n = cols.n_cols();
         PivotRow {
             rows: cols.transpose(),
@@ -37,17 +40,19 @@ impl PivotRow {
         }
     }
 
-    /// Forms `α` over `ρ`'s nonzero rows in ascending row order. Each
-    /// `α_j` is then the very sum `col_dot(j, ρ)` forms: the terms it
-    /// skips are exact zeros (the entries of `A` are finite), and adding
-    /// ±0 to a sum started at +0 leaves its bits unchanged.
-    fn compute(&mut self, rho: &[f64]) {
+    /// Forms `α` over `ρ`'s nonzero rows in ascending row order; `rows`
+    /// lists, ascending, rows that hold every nonzero of `ρ`. Each `α_j`
+    /// is then the very sum `col_dot(j, ρ)` forms: the terms it skips are
+    /// exact zeros (the entries of `A` are finite), and adding ±0 to a
+    /// sum started at +0 leaves its bits unchanged.
+    pub(super) fn compute(&mut self, rho: &[f64], rows: &[usize]) {
         for &j in &self.touched {
             self.alpha[j] = 0.0;
             self.seen[j] = false;
         }
         self.touched.clear();
-        for (i, &ri) in rho.iter().enumerate() {
+        for &i in rows {
+            let ri = rho[i];
             if ri == 0.0 {
                 continue;
             }
@@ -68,18 +73,28 @@ impl Simplex {
     /// Returns `Optimal` when no eligible entering variable remains, or
     /// `Unbounded` when an improving ray exists.
     pub(crate) fn primal_loop(&mut self) -> LpResult<SolveStatus> {
+        let mut row = self.take_pivot_row();
+        let out = self.primal_pivots(&mut row);
+        self.pivot_row = Some(row);
+        out
+    }
+
+    fn primal_pivots(&mut self, row: &mut PivotRow) -> LpResult<SolveStatus> {
         let limit = self.auto_iter_limit();
         let total = self.total_vars();
         let mut w = vec![0.0; self.m];
+        let mut rho = vec![0.0; self.m];
+        // Ascending nonzero positions of `w`, and rows holding ρ's.
+        let (mut w_nz, mut rho_rows) = (Vec::new(), Vec::new());
         // Columns rejected this round for tiny pivots; cleared on refactor.
         let mut rejected: Vec<bool> = vec![false; total];
         // Devex reference weights (approximate steepest edge): reset to the
         // unit framework at loop entry and whenever they overflow.
         let mut devex: Vec<f64> = vec![1.0; total];
-        let mut row = PivotRow::new(&self.cols);
         // Duals maintained incrementally (y += θ·ρ per pivot); recomputed
         // from scratch at every refactorization.
-        let mut y = self.btran_duals();
+        let mut y = vec![0.0; self.m];
+        self.btran_duals(&mut y);
         // Reduced costs, cached: after y += θ·ρ only the touched columns
         // are refreshed. For finite θ an untouched column's y entries move
         // by ±0, so its cached value equals a fresh `reduced_cost` bit for
@@ -97,7 +112,7 @@ impl Simplex {
 
             if self.refactor_due() {
                 self.refactor_and_check()?;
-                y = self.btran_duals();
+                self.btran_duals(&mut y);
                 self.refresh_reduced_costs(&y, 0..total, &mut d);
                 rejected.iter_mut().for_each(|r| *r = false);
             }
@@ -115,7 +130,8 @@ impl Simplex {
                     *w0 = f64::NAN;
                 }
             }
-            if w.iter().any(|v| !v.is_finite()) {
+            nonzero_positions(&w, &mut w_nz);
+            if w_nz.iter().any(|&i| !w[i].is_finite()) {
                 return Err(LpError::Fault(SolverFault::NumericalBreakdown(format!(
                     "non-finite entering column {q} after FTRAN"
                 ))));
@@ -123,12 +139,14 @@ impl Simplex {
 
             // Ratio test: entering moves by t·dir; basic j at position i
             // changes by −dir·w[i]·t. Start from the bound-flip distance.
+            // Zero entries of w never qualify, so the test visits only the
+            // nonzeros, in the same ascending order.
             let mut t_max = self.hi[q] - self.lo[q];
             let mut leave: Option<(usize, bool, f64)> = None; // (pos, to_upper, |pivot|)
             let ft = self.cfg.feas_tol;
             let tie = 1e-9;
-            for (i, &w_raw) in w.iter().enumerate().take(self.m) {
-                let wi = w_raw * dir;
+            for &i in &w_nz {
+                let wi = w[i] * dir;
                 if wi.abs() <= self.cfg.pivot_tol {
                     continue;
                 }
@@ -221,19 +239,19 @@ impl Simplex {
                     // Shared pivot row ρ = e_posᵀB⁻¹ drives both the dual
                     // update (y += θ·ρ) and the Devex weight update.
                     let theta = d[q] / piv;
-                    let rho = self.btran_unit(pos);
+                    self.btran_unit(pos, &mut rho, &mut rho_rows);
                     for (yi, ri) in y.iter_mut().zip(&rho) {
                         *yi += theta * ri;
                     }
-                    row.compute(&rho);
+                    row.compute(&rho, &rho_rows);
                     if theta.is_finite() {
                         self.refresh_reduced_costs(&y, row.touched.iter().copied(), &mut d);
                     } else {
                         // θ·0 is NaN here: every y entry moved.
                         self.refresh_reduced_costs(&y, 0..total, &mut d);
                     }
-                    self.update_devex(&mut devex, &row, q, piv, leaving);
-                    self.update_basis(pos, q, &w);
+                    self.update_devex(&mut devex, row, q, piv, leaving);
+                    self.update_basis(pos, q, &w, &w_nz);
                     self.iterations += 1;
                     self.degen_run = if t <= ft { self.degen_run + 1 } else { 0 };
                     rejected.iter_mut().for_each(|r| *r = false);
