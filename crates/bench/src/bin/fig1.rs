@@ -9,8 +9,7 @@
 //! the canonical reconstruction and then asks the white-box finder for the
 //! provably worst input on the same topology.
 
-use metaopt_bench::{campaign_dir, f, run_or_resume_campaign, CsvOut};
-use metaopt_campaign::{CellHeuristic, CellSpec, CellStatus, TopologySpec};
+use metaopt_bench::{f, CsvOut};
 use metaopt_core::{find_adversarial_gap, ConstrainedSet, FinderConfig, HeuristicSpec};
 use metaopt_te::{demand_pinning::demand_pinning, opt::opt_max_flow, TeInstance};
 use metaopt_topology::synth::figure1_triangle;
@@ -48,38 +47,7 @@ fn main() {
         csv.display()
     );
 
-    // The provably worst input on this topology and threshold. With
-    // `METAOPT_CAMPAIGN_DIR` set the search runs as a journaled campaign
-    // cell (interruptible and resumable); otherwise it runs in-process.
-    if let Some(dir) = campaign_dir() {
-        let cell = CellSpec {
-            label: "fig1-dp-50".into(),
-            topology: TopologySpec::Fig1 { cap: 100.0 },
-            paths_per_pair: 2,
-            heuristic: CellHeuristic::Dp { threshold: t_d },
-            lo: 0.0,
-            hi: 100.0,
-            resolution: 2.0,
-            probe_cap_nodes: 8_000,
-            slice_nodes: 64,
-            timeout_secs: None,
-            fault_seed: None,
-            quantized: None,
-        };
-        let report = run_or_resume_campaign(&dir, "fig1", vec![cell]).unwrap();
-        println!("\nwhite-box worst case on the same topology (campaign-backed):");
-        match &report.state.status[0] {
-            CellStatus::Done(o) => println!(
-                "  demands = ({})  certified gap >= {} ({} probes, {} nodes)",
-                o.demands.iter().map(|&d| f(d)).collect::<Vec<_>>().join(", "),
-                o.verified_gap.map_or("-".into(), f),
-                o.probes,
-                o.nodes
-            ),
-            other => println!("  cell did not complete: {other:?}"),
-        }
-        return;
-    }
+    // The provably worst input on this topology and threshold.
     let r = find_adversarial_gap(
         &inst,
         &HeuristicSpec::DemandPinning { threshold: t_d },

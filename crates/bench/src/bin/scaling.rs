@@ -1,103 +1,15 @@
 //! §5 "scaling to larger problem sizes": model growth and in-budget gap
 //! quality from SWAN (10 nodes) up to GEANT (22 nodes), with and without
 //! the quantization speedup.
-//!
-//! With `METAOPT_CAMPAIGN_DIR=<dir>` the grid runs through the crash-safe
-//! campaign runner instead: every cell is journaled under `<dir>`, and
-//! re-running the harness after an interruption (Ctrl-C, OOM kill, power
-//! loss) resumes from the journal instead of starting over.
 
-use metaopt_bench::{budget_secs, campaign_dir, f, run_or_resume_campaign, CsvOut};
-use metaopt_campaign::{CellHeuristic, CellSpec, CellStatus, RunEnd, TopologySpec};
+use metaopt_bench::{budget_secs, f, CsvOut};
 use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{find_adversarial_gap, ConstrainedSet, FinderConfig, HeuristicSpec};
 use metaopt_te::TeInstance;
 use metaopt_topology::builtin;
-use std::path::Path;
-
-/// The §5 grid as campaign cells: one sweep per (topology, variant).
-fn campaign_grid(budget: f64) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for name in ["swan", "b4", "abilene", "geant"] {
-        for (variant, quantized) in [
-            ("continuous", None),
-            ("quantized", Some(vec![0.0, 50.0, 1000.0])),
-        ] {
-            cells.push(CellSpec {
-                label: format!("{name}-{variant}"),
-                topology: TopologySpec::Builtin {
-                    name: name.into(),
-                    cap: 1000.0,
-                },
-                paths_per_pair: 2,
-                heuristic: CellHeuristic::Dp { threshold: 50.0 },
-                lo: 0.0,
-                hi: 1000.0,
-                resolution: 25.0,
-                probe_cap_nodes: 50_000,
-                slice_nodes: 512,
-                timeout_secs: Some(budget),
-                fault_seed: None,
-                quantized,
-            });
-        }
-    }
-    cells
-}
-
-fn run_campaign(dir: &Path, budget: f64) {
-    println!("§5 scaling study via campaign runner, journal under {}\n", dir.display());
-    let report = run_or_resume_campaign(dir, "scaling", campaign_grid(budget)).unwrap();
-    let mut csv = CsvOut::new(
-        "scaling",
-        &["topology", "pairs", "sos", "variant", "norm_gap", "nodes"],
-    );
-    for (cell, st) in report.state.cells.iter().zip(&report.state.status) {
-        let (topo_name, variant) = cell.label.split_once('-').unwrap_or((cell.label.as_str(), ""));
-        let (inst, spec, cs, cfg) = cell.build().unwrap();
-        let sos = build_adversarial_model(&inst, &spec, &cs, &cfg)
-            .unwrap()
-            .stats()
-            .n_sos;
-        let norm = inst.topo.total_capacity();
-        let (gap, nodes, note) = match st {
-            CellStatus::Done(o) => (
-                o.verified_gap.map_or("-".into(), |g| f(g / norm)),
-                o.nodes.to_string(),
-                format!("{} probes", o.probes),
-            ),
-            CellStatus::Quarantined { reason, .. } => {
-                ("-".into(), "-".into(), format!("quarantined: {reason}"))
-            }
-            CellStatus::Pending { .. } => ("-".into(), "-".into(), "pending".into()),
-        };
-        println!(
-            "  {topo_name:<8} ({} pairs, {sos} SOS) {variant:<10}: gap {gap} ({nodes} nodes, {note})",
-            inst.n_pairs()
-        );
-        csv.row([
-            topo_name.to_string(),
-            inst.n_pairs().to_string(),
-            sos.to_string(),
-            variant.into(),
-            gap,
-            nodes,
-        ]);
-    }
-    let path = csv.flush().unwrap();
-    println!("\nseries written to {}", path.display());
-    if report.end == RunEnd::Drained {
-        println!("campaign drained before completion — re-run to resume");
-        std::process::exit(3);
-    }
-}
 
 fn main() {
     let budget = budget_secs();
-    if let Some(dir) = campaign_dir() {
-        run_campaign(&dir, budget);
-        return;
-    }
     println!("§5 scaling study (DP, T = 5% cap), budget {budget}s per point\n");
     let mut csv = CsvOut::new(
         "scaling",

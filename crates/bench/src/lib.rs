@@ -27,38 +27,6 @@ pub fn quick_mode() -> bool {
     std::env::var("METAOPT_QUICK").is_ok_and(|v| v == "1" || v == "true")
 }
 
-/// Campaign-backed mode: when `METAOPT_CAMPAIGN_DIR` is set, harnesses
-/// route their grid through the crash-safe campaign runner under this
-/// directory instead of running searches directly.
-pub fn campaign_dir() -> Option<PathBuf> {
-    std::env::var("METAOPT_CAMPAIGN_DIR").ok().map(PathBuf::from)
-}
-
-/// Runs `cells` crash-safely under `dir`: starts a fresh journaled
-/// campaign, or — when `dir` already holds a journal from an interrupted
-/// run — resumes it, skipping completed cells and continuing in-flight
-/// branch-and-bound searches from their checkpoints.
-pub fn run_or_resume_campaign(
-    dir: &std::path::Path,
-    name: &str,
-    cells: Vec<metaopt_campaign::CellSpec>,
-) -> Result<metaopt_campaign::CampaignReport, metaopt_campaign::CampaignError> {
-    let cfg = metaopt_campaign::CampaignConfig {
-        workers: 2,
-        retry: metaopt_resilience::RetryPolicy::default(),
-        ..metaopt_campaign::CampaignConfig::default()
-    };
-    let shutdown = metaopt_campaign::ShutdownFlag::new();
-    if dir.join(metaopt_campaign::JOURNAL_FILE).exists() {
-        // an:allow(AN105): the resumption notice is part of the figure
-        // harnesses' stdout contract (EXPERIMENTS.md quotes it verbatim).
-        println!("resuming campaign from {}", dir.display());
-        metaopt_campaign::resume(dir, &cfg, &shutdown)
-    } else {
-        metaopt_campaign::run(dir, name, cells, &cfg, &shutdown)
-    }
-}
-
 /// A simple CSV writer for experiment series.
 pub struct CsvOut {
     rows: Vec<Vec<String>>,

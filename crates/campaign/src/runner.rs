@@ -72,16 +72,6 @@ pub struct CampaignConfig {
     /// cell spec's own configuration — and hence `METAOPT_FACTOR` — in
     /// charge (sparse LU when unset).
     pub factor_per_cell: Option<metaopt_core::FactorBackend>,
-    /// Salt mixed into the retry-backoff jitter seed. Within one campaign
-    /// the seed already varies by (cell, attempt), but *across* campaigns
-    /// it did not: many queued jobs whose cell 0 fails at the same moment
-    /// would all draw the identical jitter and retry in lockstep — a
-    /// thundering herd against the shared worker pool. Give each
-    /// campaign/job a distinct salt (the job server mixes in the job id)
-    /// to decorrelate them. The seed stays fully deterministic for a
-    /// given salt, so replayed campaigns make identical scheduling
-    /// decisions.
-    pub retry_salt: u64,
     /// Time source for deadlines, retry backoff, and drain checks. The
     /// default [`SystemClock`] reads the OS monotonic clock; tests inject
     /// a [`crate::clock::TestClock`] to drive timeout paths
@@ -104,13 +94,19 @@ impl Default for CampaignConfig {
             deadline: None,
             threads_per_cell: 0,
             factor_per_cell: None,
-            retry_salt: 0,
             clock: Arc::new(SystemClock),
             metrics: crate::CampaignMetrics::disabled(),
             tracer: metaopt_obs::Tracer::disabled(),
         }
     }
 }
+
+/// Salt mixed into a campaign's retry-backoff jitter seed. Within one
+/// campaign the seed varies by (cell, attempt) and stays fully
+/// deterministic, so replayed campaigns make identical scheduling
+/// decisions. The job server, whose queued jobs would otherwise retry in
+/// lockstep, salts by its name and uses the job id as the unit instead.
+const RETRY_SALT: u64 = 0;
 
 /// The deterministic jitter seed for the `attempt`-th retry of work unit
 /// `unit` under `salt`: a splitmix-style mix so that changing any one
@@ -268,7 +264,6 @@ struct Shared {
     retry: RetryPolicy,
     threads_per_cell: usize,
     factor_per_cell: Option<metaopt_core::FactorBackend>,
-    retry_salt: u64,
     clock: Arc<dyn Clock>,
     metrics: crate::CampaignMetrics,
     tracer: metaopt_obs::Tracer,
@@ -324,7 +319,6 @@ fn execute(
         retry: cfg.retry,
         threads_per_cell: cfg.threads_per_cell,
         factor_per_cell: cfg.factor_per_cell,
-        retry_salt: cfg.retry_salt,
         clock: Arc::clone(&cfg.clock),
         metrics: cfg.metrics.clone(),
         tracer: cfg.tracer.clone(),
@@ -499,7 +493,7 @@ fn run_item(shared: &Shared, item: WorkItem) {
                 return;
             }
             let fatal = kind == "fatal";
-            let seed = retry_jitter_seed(shared.retry_salt, idx as u64, attempt);
+            let seed = retry_jitter_seed(RETRY_SALT, idx as u64, attempt);
             let decision = if fatal {
                 RetryDecision::Quarantine
             } else {

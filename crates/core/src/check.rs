@@ -69,9 +69,10 @@ pub fn check_adversarial_model(inst: &TeInstance, am: &AdversarialModel) -> Repo
 /// over it, erroring on *any* error-severity diagnostic — in every build
 /// profile, regardless of [`ModelCheckMode`].
 ///
-/// This deliberately differs from the in-solve [`gate`]: mid-solve, a
-/// release build downgrades encoding suspicion to a recorded fault so
-/// long-running campaigns stay anytime; at a server's admission boundary
+/// This deliberately differs from the finder's in-solve gate
+/// ([`crate::FinderConfig::modelcheck`]): mid-solve, a release build
+/// downgrades encoding suspicion to a recorded fault so long-running
+/// campaigns stay anytime; at a server's admission boundary
 /// there is nothing to stay anytime *for* — the right move is to reject
 /// the job with a diagnostic before it ever occupies a worker. Returns the
 /// single-shot program's size statistics (the paper's Figure 6 axes) so

@@ -3,8 +3,8 @@
 
 use crate::finder::OptEncoding;
 use crate::CoreResult;
-use metaopt_model::{kkt, LinExpr, Model, ObjSense, VarRef};
-use metaopt_te::{flow::feasible_flow_inner, FlowVars, TeInstance};
+use metaopt_model::{kkt, LinExpr, Model, ObjSense};
+use metaopt_te::{flow::feasible_flow_inner_caps, FlowVars, TeInstance};
 
 /// Artifacts of the OPT encoding.
 #[derive(Debug, Clone)]
@@ -15,7 +15,10 @@ pub struct OptEncoded {
     pub total_flow: LinExpr,
 }
 
-/// Appends the inner OPT problem for symbolic demands `d` onto `model`.
+/// Appends the inner OPT problem onto `model`, for demand volumes `d` (the
+/// leader's variables when searching demands, constants when the leader
+/// moves capacities) over edge capacities `caps` (constants when searching
+/// demands, the leader's variables in the topology attack).
 ///
 /// * `OptEncoding::Kkt` (paper-faithful, §3.1): primal feasibility +
 ///   stationarity + complementary slackness — any feasible point is an
@@ -27,12 +30,12 @@ pub struct OptEncoded {
 pub fn encode_opt(
     model: &mut Model,
     inst: &TeInstance,
-    d: &[VarRef],
+    d: &[LinExpr],
+    caps: &[LinExpr],
     encoding: OptEncoding,
     dual_bound: f64,
 ) -> CoreResult<OptEncoded> {
-    let d_exprs: Vec<LinExpr> = d.iter().map(|&v| LinExpr::from(v)).collect();
-    let (mut inner, flows) = feasible_flow_inner(model, "opt", inst, &d_exprs)?;
+    let (mut inner, flows) = feasible_flow_inner_caps(model, "opt", inst, d, caps)?;
     let total_flow = flows.total_flow();
     inner.set_objective(ObjSense::Max, total_flow.clone());
     match encoding {
@@ -49,16 +52,22 @@ pub fn encode_opt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaopt_te::flow::capacity_constants;
     use metaopt_topology::synth::line;
+
+    fn demands(m: &mut Model, inst: &TeInstance) -> Vec<LinExpr> {
+        (0..inst.n_pairs())
+            .map(|k| LinExpr::from(m.add_var(format!("d{k}"), 0.0, 10.0).unwrap()))
+            .collect()
+    }
 
     #[test]
     fn kkt_encoding_adds_complementarities() {
         let inst = TeInstance::all_pairs(line(3, 10.0), 1).unwrap();
         let mut m = Model::new();
-        let d: Vec<VarRef> = (0..inst.n_pairs())
-            .map(|k| m.add_var(format!("d{k}"), 0.0, 10.0).unwrap())
-            .collect();
-        encode_opt(&mut m, &inst, &d, OptEncoding::Kkt, 1e4).unwrap();
+        let d = demands(&mut m, &inst);
+        let caps = capacity_constants(&inst);
+        encode_opt(&mut m, &inst, &d, &caps, OptEncoding::Kkt, 1e4).unwrap();
         assert!(m.n_complementarities() > 0);
     }
 
@@ -66,10 +75,9 @@ mod tests {
     fn primal_only_adds_none() {
         let inst = TeInstance::all_pairs(line(3, 10.0), 1).unwrap();
         let mut m = Model::new();
-        let d: Vec<VarRef> = (0..inst.n_pairs())
-            .map(|k| m.add_var(format!("d{k}"), 0.0, 10.0).unwrap())
-            .collect();
-        encode_opt(&mut m, &inst, &d, OptEncoding::PrimalOnly, 1e4).unwrap();
+        let d = demands(&mut m, &inst);
+        let caps = capacity_constants(&inst);
+        encode_opt(&mut m, &inst, &d, &caps, OptEncoding::PrimalOnly, 1e4).unwrap();
         assert_eq!(m.n_complementarities(), 0);
         assert!(m.n_constraints() > 0);
     }

@@ -13,7 +13,7 @@
 
 use crate::CoreResult;
 use metaopt_model::{kkt, sortnet, LinExpr, Model, ObjSense, VarRef};
-use metaopt_te::{flow::feasible_flow_inner, pop::Partition, TeInstance};
+use metaopt_te::{flow::feasible_flow_inner_caps, pop::Partition, TeInstance};
 
 /// How to collapse POP's random value into a deterministic objective term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,11 +37,15 @@ pub struct PopEncoded {
     pub heuristic_value: LinExpr,
 }
 
-/// Appends the POP follower(s) for symbolic demands `d` onto `model`.
+/// Appends the POP follower(s) for symbolic demands `d` onto `model`, over
+/// edge capacities `caps` (constants when searching demands, the leader's
+/// variables in the topology attack); each partition LP gets `1/c` of
+/// every `caps[e]`.
 pub fn encode_pop(
     model: &mut Model,
     inst: &TeInstance,
     d: &[VarRef],
+    caps: &[LinExpr],
     partitions: &[Partition],
     mode: PopMode,
     dual_bound: f64,
@@ -62,8 +66,14 @@ pub fn encode_pop(
             let sub = inst.restrict(&members, factor);
             let d_exprs: Vec<LinExpr> =
                 members.iter().map(|&k| LinExpr::from(d[k])).collect();
-            let (mut inner, flows) =
-                feasible_flow_inner(model, &format!("pop[{r}][{c}]"), &sub, &d_exprs)?;
+            let sub_caps: Vec<LinExpr> = caps.iter().map(|e| e.scaled(factor)).collect();
+            let (mut inner, flows) = feasible_flow_inner_caps(
+                model,
+                &format!("pop[{r}][{c}]"),
+                &sub,
+                &d_exprs,
+                &sub_caps,
+            )?;
             let total = flows.total_flow();
             inner.set_objective(ObjSense::Max, total.clone());
             kkt::append_kkt(model, &inner, dual_bound)?;
@@ -110,6 +120,7 @@ pub fn encode_pop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaopt_te::flow::capacity_constants;
     use metaopt_te::pop::random_partitions;
     use metaopt_topology::synth::line;
     use rand::rngs::StdRng;
@@ -129,7 +140,8 @@ mod tests {
     #[test]
     fn average_mode_structure() {
         let (inst, mut m, d, parts) = setup(3);
-        let enc = encode_pop(&mut m, &inst, &d, &parts, PopMode::Average, 1e4).unwrap();
+        let caps = capacity_constants(&inst);
+        let enc = encode_pop(&mut m, &inst, &d, &caps, &parts, PopMode::Average, 1e4).unwrap();
         assert_eq!(enc.per_instance.len(), 3);
         // Average has terms from every instantiation's flows.
         assert!(enc.heuristic_value.n_terms() > 0);
@@ -141,8 +153,9 @@ mod tests {
     fn tail_mode_adds_sorting_binaries() {
         let (inst, mut m, d, parts) = setup(3);
         let before_bin = 0;
-        let enc =
-            encode_pop(&mut m, &inst, &d, &parts, PopMode::TailWorst { rank: 0 }, 1e4).unwrap();
+        let caps = capacity_constants(&inst);
+        let tail = PopMode::TailWorst { rank: 0 };
+        let enc = encode_pop(&mut m, &inst, &d, &caps, &parts, tail, 1e4).unwrap();
         let binaries = (0..m.n_vars())
             .filter(|&i| m.var_kind(VarRef(i)) == metaopt_model::VarKind::Binary)
             .count();
@@ -154,9 +167,9 @@ mod tests {
     #[test]
     fn tail_rank_validated() {
         let (inst, mut m, d, parts) = setup(2);
-        assert!(
-            encode_pop(&mut m, &inst, &d, &parts, PopMode::TailWorst { rank: 5 }, 1e4).is_err()
-        );
+        let caps = capacity_constants(&inst);
+        let tail = PopMode::TailWorst { rank: 5 };
+        assert!(encode_pop(&mut m, &inst, &d, &caps, &parts, tail, 1e4).is_err());
         let _ = inst;
     }
 }

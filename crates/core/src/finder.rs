@@ -13,12 +13,24 @@ use metaopt_milp::{
 };
 use metaopt_model::{LinExpr, Model, ModelStats, ObjSense, VarRef};
 use metaopt_resilience::{Budget, DegradationLevel, SolverFault};
+use metaopt_te::flow::capacity_constants;
 use metaopt_te::pop::Partition;
 use metaopt_te::{opt::opt_max_flow, OptEvaluator, TeInstance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+
+/// DP's threshold exclusion half-width ε (absolute units).
+const DP_EPSILON: f64 = 1e-3;
+
+/// Upper bound for KKT multipliers (∞ is always sound; finite values can
+/// speed up branching but risk cutting the true multipliers).
+pub(crate) const DUAL_BOUND: f64 = f64::INFINITY;
+
+/// Budget (true-gap evaluations) of the callback's coordinate-improvement
+/// sweep at each consulted node.
+pub(crate) const CALLBACK_EVALS_PER_NODE: usize = 16;
 
 /// How the inner OPT problem is encoded (see [`crate::encode_opt`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,14 +111,6 @@ pub struct FinderConfig {
     /// Whether to run the candidate-evaluation incumbent callback (strongly
     /// recommended; it is how good solutions appear early).
     pub use_incumbent_callback: bool,
-    /// DP's threshold exclusion half-width ε (absolute units).
-    pub epsilon: f64,
-    /// Upper bound for KKT multipliers (∞ is always sound; finite values
-    /// can speed up branching but risk cutting the true multipliers).
-    pub dual_bound: f64,
-    /// Budget (true-gap evaluations) of the callback's coordinate-
-    /// improvement sweep at each consulted node.
-    pub callback_evals_per_node: usize,
     /// End-to-end anytime budget for the whole run (white-box search plus
     /// any degraded fallbacks). Composed with `milp.time_limit` /
     /// `milp.max_nodes` — the tightest limit wins. Budgets hold *absolute*
@@ -139,9 +143,6 @@ impl Default for FinderConfig {
             opt_encoding: OptEncoding::Kkt,
             milp: MilpConfig::default(),
             use_incumbent_callback: true,
-            epsilon: 1e-3,
-            dual_bound: f64::INFINITY,
-            callback_evals_per_node: 16,
             budget: Budget::unlimited(),
             fallback_seed: 0,
             modelcheck: ModelCheckMode::default(),
@@ -182,6 +183,14 @@ impl FinderConfig {
         }
         m
     }
+
+    /// [`FinderConfig::milp_config`] tightened by [`FinderConfig::budget`]:
+    /// what a whole-run search solves under.
+    pub(crate) fn budgeted_milp_config(&self) -> MilpConfig {
+        let mut m = self.milp_config();
+        m.budget = m.budget.min_with(self.budget);
+        m
+    }
 }
 
 /// The assembled single-shot model plus handles into it.
@@ -202,14 +211,19 @@ pub struct AdversarialModel {
 impl AdversarialModel {
     /// Figure-6 style size statistics of the single-shot program.
     pub fn stats(&self) -> ModelStats {
-        ModelStats {
-            n_vars: self.model.n_vars() + self.model.n_complementarities(),
-            n_linear: self.model.n_constraints() + self.model.n_complementarities(),
-            n_sos: self.model.n_complementarities(),
-            n_binary: (0..self.model.n_vars())
-                .filter(|&i| self.model.var_kind(VarRef(i)) == metaopt_model::VarKind::Binary)
-                .count(),
-        }
+        model_stats(&self.model)
+    }
+}
+
+/// Figure-6 style size statistics of an assembled adversarial program.
+pub(crate) fn model_stats(model: &Model) -> ModelStats {
+    ModelStats {
+        n_vars: model.n_vars() + model.n_complementarities(),
+        n_linear: model.n_constraints() + model.n_complementarities(),
+        n_sos: model.n_complementarities(),
+        n_binary: (0..model.n_vars())
+            .filter(|&i| model.var_kind(VarRef(i)) == metaopt_model::VarKind::Binary)
+            .count(),
     }
 }
 
@@ -231,22 +245,25 @@ pub fn build_adversarial_model(
         .collect::<Result<_, _>>()?;
     constraints.apply(&mut model, &d, d_hi)?;
 
-    let opt = encode_opt(&mut model, inst, &d, cfg.opt_encoding, cfg.dual_bound)?;
+    let d_exprs: Vec<LinExpr> = d.iter().map(|&v| LinExpr::from(v)).collect();
+    let caps = capacity_constants(inst);
+    let opt = encode_opt(
+        &mut model,
+        inst,
+        &d_exprs,
+        &caps,
+        cfg.opt_encoding,
+        DUAL_BOUND,
+    )?;
     let heu_value = match spec {
         HeuristicSpec::DemandPinning { threshold } => {
             let enc = encode_dp(
-                &mut model,
-                inst,
-                &d,
-                *threshold,
-                d_hi,
-                cfg.epsilon,
-                cfg.dual_bound,
+                &mut model, inst, &d, *threshold, d_hi, DP_EPSILON, DUAL_BOUND,
             )?;
             enc.total_flow
         }
         HeuristicSpec::Pop { partitions, mode } => {
-            let enc = encode_pop(&mut model, inst, &d, partitions, *mode, cfg.dual_bound)?;
+            let enc = encode_pop(&mut model, inst, &d, &caps, partitions, *mode, DUAL_BOUND)?;
             enc.heuristic_value
         }
     };
@@ -613,7 +630,6 @@ pub(crate) fn new_candidate_evaluator<'a>(
     spec: &'a HeuristicSpec,
     constraints: &'a ConstrainedSet,
     am: &AdversarialModel,
-    cfg: &FinderConfig,
 ) -> CandidateEvaluator<'a> {
     CandidateEvaluator {
         inst,
@@ -623,12 +639,12 @@ pub(crate) fn new_candidate_evaluator<'a>(
         d_hi: am.d_hi,
         n_model_vars: am.model.n_vars(),
         snap: match spec {
-            HeuristicSpec::DemandPinning { threshold } => Some((*threshold, cfg.epsilon)),
+            HeuristicSpec::DemandPinning { threshold } => Some((*threshold, DP_EPSILON)),
             _ => None,
         },
         best: None,
         sweep_cursor: 0,
-        evals_per_call: cfg.callback_evals_per_node,
+        evals_per_call: CALLBACK_EVALS_PER_NODE,
         calls: 0,
         memo: CertMemo::default(),
         opt: OptEvaluator::new(inst).ok(),
@@ -692,12 +708,11 @@ pub fn find_adversarial_gap(
     let build_time = t0.elapsed();
     let stats = am.stats();
 
-    let mut milp_cfg = cfg.milp_config();
-    milp_cfg.budget = milp_cfg.budget.min_with(cfg.budget);
+    let milp_cfg = cfg.budgeted_milp_config();
 
     // an:allow(AN001): same reporting-only wall-clock as `t0` above.
     let solve_t = Instant::now();
-    let mut cb = new_candidate_evaluator(inst, spec, constraints, &am, cfg);
+    let mut cb = new_candidate_evaluator(inst, spec, constraints, &am);
     let attempt = if cfg.use_incumbent_callback {
         solve_with_callback(&am.model, &milp_cfg, &mut cb)
     } else {

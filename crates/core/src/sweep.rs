@@ -133,7 +133,7 @@ pub fn find_gap_at_least(
     // seeding happens through the callback; without it we still accept
     // branch-and-bound leaves.
     let sol = if cfg.use_incumbent_callback {
-        let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am, cfg);
+        let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am);
         metaopt_milp::solve_with_callback(&am.model, &milp_cfg, &mut cb)?
     } else {
         metaopt_milp::solve(&am.model, &milp_cfg)?
@@ -330,7 +330,7 @@ pub fn sweep_tick(
         milp_cfg.budget = milp_cfg.budget.min_with(metaopt_milp::Budget::until(dl));
     }
 
-    let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am, cfg);
+    let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am);
     let mut quiet = NoProposals;
     let callback: &mut dyn metaopt_milp::IncumbentCallback = if cfg.use_incumbent_callback {
         &mut cb

@@ -9,13 +9,16 @@
 //! becomes an outer variable `c_e ∈ [(1−δ)·c⁰_e, c⁰_e]`, optionally with a
 //! budget on the total capacity removed. The follower problems (OPT and the
 //! heuristic) see the capacities as constants, so the same KKT machinery
-//! applies unchanged.
+//! applies unchanged: the demand finder's OPT and POP encoders build them,
+//! handed the capacity variables in place of constant capacities.
 
-use crate::finder::{FinderConfig, HeuristicSpec, OptEncoding};
+use crate::encode_opt::encode_opt;
+use crate::encode_pop::encode_pop;
+use crate::finder::{model_stats, FinderConfig, HeuristicSpec, CALLBACK_EVALS_PER_NODE, DUAL_BOUND};
 use crate::result::GapResult;
 use crate::{CoreError, CoreResult};
 use metaopt_milp::{solve_with_callback, IncumbentCallback};
-use metaopt_model::{kkt, LinExpr, Model, ModelStats, ObjSense, Sense, VarRef};
+use metaopt_model::{kkt, LinExpr, Model, ObjSense, Sense, VarRef};
 use metaopt_te::flow::feasible_flow_inner_caps;
 use metaopt_te::{opt::opt_max_flow, TeInstance};
 use metaopt_topology::EdgeId;
@@ -159,7 +162,9 @@ impl IncumbentCallback for CapacityEvaluator<'_> {
 }
 
 /// Finds the capacity degradation (within `attack`'s limits) that maximizes
-/// `OPT − Heuristic` for a *fixed* demand matrix.
+/// `OPT − Heuristic` for a *fixed* demand matrix. The search runs under
+/// `cfg.milp` with the finder's overrides applied, tightened by
+/// [`FinderConfig::budget`], as [`crate::find_adversarial_gap`] does.
 pub fn find_adversarial_topology(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -202,22 +207,17 @@ pub fn find_adversarial_topology(
     let d_exprs: Vec<LinExpr> = demands.iter().map(|&v| LinExpr::constant(v)).collect();
 
     // Inner OPT over symbolic capacities.
-    let (mut opt_inner, opt_flows) =
-        feasible_flow_inner_caps(&mut model, "opt", inst, &d_exprs, &cap_exprs)?;
-    let opt_total = opt_flows.total_flow();
-    opt_inner.set_objective(ObjSense::Max, opt_total.clone());
-    match cfg.opt_encoding {
-        OptEncoding::Kkt => {
-            kkt::append_kkt(&mut model, &opt_inner, cfg.dual_bound)?;
-        }
-        OptEncoding::PrimalOnly => {
-            kkt::append_primal(&mut model, &opt_inner)?;
-        }
-    }
+    let opt = encode_opt(
+        &mut model,
+        inst,
+        &d_exprs,
+        &cap_exprs,
+        cfg.opt_encoding,
+        DUAL_BOUND,
+    )?;
 
-    // Inner heuristic over symbolic capacities. Demands are constants, so
-    // we pin them through fixed variables and reuse the demand-space
-    // encoders (their pin indicators collapse to constants under B&B).
+    // Inner heuristic over symbolic capacities. Its demands enter as fixed
+    // variables: the DP encoder reads the pin set off their bounds.
     let d_fixed: Vec<VarRef> = demands
         .iter()
         .enumerate()
@@ -226,43 +226,22 @@ pub fn find_adversarial_topology(
     let heu_value = match spec {
         HeuristicSpec::DemandPinning { threshold } => {
             let d_hi = demands.iter().copied().fold(0.0, f64::max).max(1.0);
-            encode_dp_with_caps(
-                &mut model,
-                inst,
-                &d_fixed,
-                &cap_exprs,
-                *threshold,
-                d_hi,
-                cfg.epsilon,
-                cfg.dual_bound,
-            )?
+            encode_dp_with_caps(&mut model, inst, &d_fixed, &cap_exprs, *threshold, d_hi)?
         }
         HeuristicSpec::Pop { partitions, mode } => {
             // POP's per-partition capacity is c_e / n_parts — still linear.
-            encode_pop_with_caps(
-                &mut model,
-                inst,
-                &d_fixed,
-                &cap_exprs,
-                partitions,
-                *mode,
-                cfg.dual_bound,
-            )?
+            let enc = encode_pop(
+                &mut model, inst, &d_fixed, &cap_exprs, partitions, *mode, DUAL_BOUND,
+            )?;
+            enc.heuristic_value
         }
     };
 
-    let mut objective = opt_total.clone();
+    let mut objective = opt.total_flow;
     objective -= heu_value;
     model.set_objective(ObjSense::Max, objective)?;
 
-    let stats = ModelStats {
-        n_vars: model.n_vars() + model.n_complementarities(),
-        n_linear: model.n_constraints() + model.n_complementarities(),
-        n_sos: model.n_complementarities(),
-        n_binary: (0..model.n_vars())
-            .filter(|&i| model.var_kind(VarRef(i)) == metaopt_model::VarKind::Binary)
-            .count(),
-    };
+    let stats = model_stats(&model);
     let build_time = t0.elapsed();
 
     let mut cb = CapacityEvaluator {
@@ -275,10 +254,10 @@ pub fn find_adversarial_topology(
         n_model_vars: model.n_vars(),
         best: None,
         sweep_cursor: 0,
-        evals_per_call: cfg.callback_evals_per_node,
+        evals_per_call: CALLBACK_EVALS_PER_NODE,
         calls: 0,
     };
-    let sol = solve_with_callback(&model, &cfg.milp, &mut cb)?;
+    let sol = solve_with_callback(&model, &cfg.budgeted_milp_config(), &mut cb)?;
 
     let capacities: Vec<f64> = if sol.values.is_empty() {
         cap_hi.clone()
@@ -315,9 +294,11 @@ pub fn find_adversarial_topology(
     })
 }
 
-/// DP encoding over symbolic capacities: same as [`encode_dp`] but the
-/// follower's capacity rows reference `cap_exprs`.
-#[allow(clippy::too_many_arguments)]
+/// DP encoding over symbolic capacities: the follower of
+/// [`crate::encode_dp::encode_dp`] with its capacity rows on `cap_exprs`.
+/// Fixed demands make the pin set known when the model is built, so no
+/// pin binaries are needed: pinned pairs get hard pinning rows, the rest
+/// none.
 fn encode_dp_with_caps(
     model: &mut Model,
     inst: &TeInstance,
@@ -325,19 +306,10 @@ fn encode_dp_with_caps(
     cap_exprs: &[LinExpr],
     threshold: f64,
     d_hi: f64,
-    epsilon: f64,
-    dual_bound: f64,
 ) -> CoreResult<LinExpr> {
-    // Reuse encode_dp by temporarily swapping the instance's capacities is
-    // not possible (they live in the topology), so we mirror its structure
-    // over `feasible_flow_inner_caps`.
-    let _ = epsilon;
     let t = threshold.min(d_hi);
     let d_exprs: Vec<LinExpr> = d.iter().map(|&v| LinExpr::from(v)).collect();
-    let (mut inner, flows) =
-        feasible_flow_inner_caps(model, "dp", inst, &d_exprs, cap_exprs)?;
-    // Demands are fixed, so the pin set is known at build time — no
-    // binaries needed: emit hard pinning rows for pinned pairs only.
+    let (mut inner, flows) = feasible_flow_inner_caps(model, "dp", inst, &d_exprs, cap_exprs)?;
     for (k, &dk) in d.iter().enumerate().take(inst.n_pairs()) {
         let (lo, hi) = model.var_bounds(dk);
         debug_assert!((lo - hi).abs() < 1e-12, "demands must be fixed");
@@ -359,74 +331,8 @@ fn encode_dp_with_caps(
     }
     let total = flows.total_flow();
     inner.set_objective(ObjSense::Max, total.clone());
-    kkt::append_kkt(model, &inner, dual_bound)?;
+    kkt::append_kkt(model, &inner, DUAL_BOUND)?;
     Ok(total)
-}
-
-/// POP encoding over symbolic capacities.
-fn encode_pop_with_caps(
-    model: &mut Model,
-    inst: &TeInstance,
-    d: &[VarRef],
-    cap_exprs: &[LinExpr],
-    partitions: &[metaopt_te::pop::Partition],
-    mode: crate::encode_pop::PopMode,
-    dual_bound: f64,
-) -> CoreResult<LinExpr> {
-    use crate::encode_pop::PopMode;
-    let mut per_instance = Vec::with_capacity(partitions.len());
-    for (r, part) in partitions.iter().enumerate() {
-        let factor = 1.0 / part.n_parts as f64;
-        let mut instance_total = LinExpr::zero();
-        for c in 0..part.n_parts {
-            let members = part.members(c);
-            if members.is_empty() {
-                continue;
-            }
-            let sub = inst.restrict(&members, 1.0);
-            let d_exprs: Vec<LinExpr> = members.iter().map(|&k| LinExpr::from(d[k])).collect();
-            let caps: Vec<LinExpr> = cap_exprs.iter().map(|e| e.scaled(factor)).collect();
-            let (mut inner, flows) = feasible_flow_inner_caps(
-                model,
-                &format!("pop[{r}][{c}]"),
-                &sub,
-                &d_exprs,
-                &caps,
-            )?;
-            let total = flows.total_flow();
-            inner.set_objective(ObjSense::Max, total.clone());
-            kkt::append_kkt(model, &inner, dual_bound)?;
-            instance_total += total;
-        }
-        per_instance.push(instance_total);
-    }
-    Ok(match mode {
-        PopMode::Average => {
-            let w = 1.0 / per_instance.len() as f64;
-            let mut avg = LinExpr::zero();
-            for e in &per_instance {
-                avg += e.scaled(w);
-            }
-            avg
-        }
-        PopMode::TailWorst { rank } => {
-            if rank >= per_instance.len() {
-                return Err(CoreError::Config(format!(
-                    "tail rank {rank} >= {} instantiations",
-                    per_instance.len()
-                )));
-            }
-            let vmax = inst.topo.total_capacity();
-            let sorted = metaopt_model::sortnet::sort_ascending(
-                model,
-                "pop::tail",
-                per_instance,
-                0.0,
-                vmax,
-            )?;
-            sorted[rank].clone()
-        }
-    })
 }
 
 #[cfg(test)]
@@ -479,6 +385,22 @@ mod tests {
             r.gap.status,
             MilpStatus::Optimal | MilpStatus::Feasible
         ));
+    }
+
+    /// `FinderConfig::budget` bounds the attack's search as it bounds the
+    /// demand finder's: an already-expired budget processes no node.
+    #[test]
+    fn expired_budget_processes_no_node() {
+        let inst = fig1();
+        let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
+        let cfg = FinderConfig {
+            budget: metaopt_resilience::Budget::from_secs_f64(0.0),
+            ..FinderConfig::default()
+        };
+        let attack = TopologyAttack::per_edge(0.3);
+        let r =
+            find_adversarial_topology(&inst, &spec, &[50.0, 100.0, 100.0], &attack, &cfg).unwrap();
+        assert_eq!(r.gap.nodes, 0, "{}", r.gap);
     }
 
     /// The budget constraint limits total removed capacity.

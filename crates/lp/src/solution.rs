@@ -37,11 +37,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Convenience: whether the solve ended optimal.
-    pub fn is_optimal(&self) -> bool {
-        self.status == SolveStatus::Optimal
-    }
-
     /// Dual value of row `i`.
     pub fn duals(&self) -> &[f64] {
         &self.duals

@@ -5,7 +5,7 @@
 //! depend only on the basis), so the dual simplex restores primal
 //! feasibility in a handful of pivots instead of re-solving from scratch.
 
-use super::{Basis, PivotRow, Simplex, VarState};
+use super::{Basis, PivotRow, Simplex, VarState, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::factor::nonzero_positions;
 use crate::solution::{Solution, SolveStatus};
 use crate::{LpError, LpResult};
@@ -42,7 +42,7 @@ impl Simplex {
     }
 
     fn dual_pivots(&mut self, row: &mut PivotRow) -> LpResult<Option<SolveStatus>> {
-        let limit = self.auto_iter_limit();
+        let limit = self.iter_limit();
         let mut w = vec![0.0; self.m];
         let mut rho = vec![0.0; self.m];
         let mut y = vec![0.0; self.m];
@@ -72,14 +72,13 @@ impl Simplex {
 
             // Leaving: the basic variable with the largest devex-scaled
             // bound violation.
-            let ft = self.cfg.feas_tol;
             let mut leave: Option<(usize, f64, f64)> = None; // (pos, score, target)
             for (i, &g) in gamma.iter().enumerate().take(self.m) {
                 let j = self.basis[i];
                 let xj = self.x[j];
-                let (viol, target) = if xj < self.lo[j] - ft {
+                let (viol, target) = if xj < self.lo[j] - FEAS_TOL {
                     (self.lo[j] - xj, self.lo[j])
-                } else if xj > self.hi[j] + ft {
+                } else if xj > self.hi[j] + FEAS_TOL {
                     (xj - self.hi[j], self.hi[j])
                 } else {
                     continue;
@@ -124,7 +123,7 @@ impl Simplex {
                         // Free nonbasic variables can move either way; they
                         // are always eligible if α_j is significant.
                         let alpha = row.alpha[j];
-                        if alpha.abs() <= self.cfg.pivot_tol {
+                        if alpha.abs() <= PIVOT_TOL {
                             continue;
                         }
                         // A free variable has reduced cost ~0; it is the
@@ -137,7 +136,7 @@ impl Simplex {
                     continue; // fixed variables cannot move
                 }
                 let alpha = row.alpha[j];
-                if alpha.abs() <= self.cfg.pivot_tol {
+                if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let eligible = if delta > 0.0 {
@@ -166,7 +165,7 @@ impl Simplex {
             // as x_q changes by Δ = delta / α_q.
             let step = delta / alpha_q;
             let d_q = self.reduced_cost(q, &y);
-            if d_q.abs() <= self.cfg.opt_tol {
+            if d_q.abs() <= OPT_TOL {
                 degen_streak += 1;
                 if degen_streak > self.cfg.degen_threshold {
                     return Ok(None); // cold-start with Bland protection
@@ -186,7 +185,7 @@ impl Simplex {
                 self.x[j] -= wi * step;
             }
             self.x[leaving] = target;
-            self.state[leaving] = if (target - self.lo[leaving]).abs() <= ft {
+            self.state[leaving] = if (target - self.lo[leaving]).abs() <= FEAS_TOL {
                 VarState::AtLower
             } else {
                 VarState::AtUpper
@@ -228,7 +227,7 @@ impl Simplex {
     fn restore_dual_feasibility(&mut self) -> bool {
         let mut y = vec![0.0; self.m];
         self.btran_duals(&mut y);
-        let tol = self.cfg.opt_tol.max(1e-6);
+        let tol = OPT_TOL.max(1e-6);
         let mut flipped = false;
         for j in 0..self.total_vars() {
             match self.state[j] {

@@ -40,17 +40,16 @@ use crate::sparse::SparseMat;
 use crate::{LpError, LpResult};
 use metaopt_resilience::{FaultPlan, FaultSite, SolverFault};
 
+/// Primal feasibility tolerance on variable bounds.
+const FEAS_TOL: f64 = 1e-7;
+/// Dual feasibility (reduced-cost) tolerance.
+const OPT_TOL: f64 = 1e-7;
+/// Smallest acceptable pivot magnitude.
+const PIVOT_TOL: f64 = 1e-9;
+
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
 pub struct SimplexConfig {
-    /// Primal feasibility tolerance on variable bounds.
-    pub feas_tol: f64,
-    /// Dual feasibility (reduced-cost) tolerance.
-    pub opt_tol: f64,
-    /// Smallest acceptable pivot magnitude.
-    pub pivot_tol: f64,
-    /// Hard cap on total pivots per solve.
-    pub max_iters: usize,
     /// Refactorize the basis every this many pivots (the sparse backend
     /// additionally refactorizes early when its eta file outgrows the
     /// base factors).
@@ -65,10 +64,6 @@ pub struct SimplexConfig {
 impl Default for SimplexConfig {
     fn default() -> Self {
         SimplexConfig {
-            feas_tol: 1e-7,
-            opt_tol: 1e-7,
-            pivot_tol: 1e-9,
-            max_iters: 0, // 0 = auto (scaled by problem size)
             refactor_every: 512,
             degen_threshold: 400,
             backend: FactorBackend::from_env(),
@@ -293,7 +288,7 @@ impl Simplex {
         // the current box.
         if let Some(best) = &self.best_feasible {
             let bx = best.x[v.0];
-            if bx < lo - self.cfg.feas_tol || bx > hi + self.cfg.feas_tol {
+            if bx < lo - FEAS_TOL || bx > hi + FEAS_TOL {
                 self.best_feasible = None;
             }
         }
@@ -353,12 +348,9 @@ impl Simplex {
         (self.lo[v.0], self.hi[v.0])
     }
 
-    fn auto_iter_limit(&self) -> usize {
-        if self.cfg.max_iters > 0 {
-            self.cfg.max_iters
-        } else {
-            50 * (self.m + self.n) + 20_000
-        }
+    /// Hard cap on the pivots of one pivot loop, scaled by problem size.
+    fn iter_limit(&self) -> usize {
+        50 * (self.m + self.n) + 20_000
     }
 
     // ------------------------------------------------------------------
@@ -687,7 +679,7 @@ impl Simplex {
         let infeas: f64 = (self.n + self.m..self.total_vars())
             .map(|j| self.x[j])
             .sum();
-        if infeas > self.cfg.feas_tol {
+        if infeas > FEAS_TOL {
             // Minimize the sum of artificials.
             let total = self.total_vars();
             self.work_cost = vec![0.0; total];
@@ -703,7 +695,7 @@ impl Simplex {
             let resid: f64 = (self.n + self.m..self.total_vars())
                 .map(|j| self.x[j].max(0.0))
                 .sum();
-            if resid > self.cfg.feas_tol.max(1e-6) {
+            if resid > FEAS_TOL.max(1e-6) {
                 return Ok(self.extract(SolveStatus::Infeasible));
             }
         }
@@ -790,12 +782,12 @@ impl Simplex {
         for (i, &ai) in act.iter().enumerate().take(m) {
             let s = n + i;
             let (rl, rh) = (self.lo[s], self.hi[s]);
-            if ai < rl - self.cfg.feas_tol {
+            if ai < rl - FEAS_TOL {
                 // Clamp logical at lower bound; artificial covers the gap.
                 self.state[s] = VarState::AtLower;
                 self.x[s] = rl;
                 artificial_cols.push((i, 1.0, rl - ai));
-            } else if ai > rh + self.cfg.feas_tol {
+            } else if ai > rh + FEAS_TOL {
                 self.state[s] = VarState::AtUpper;
                 self.x[s] = rh;
                 artificial_cols.push((i, -1.0, ai - rh));

@@ -1,6 +1,6 @@
 //! Phase-I/II bounded-variable primal simplex iterations.
 
-use super::{Simplex, VarState};
+use super::{Simplex, VarState, FEAS_TOL, OPT_TOL, PIVOT_TOL};
 use crate::factor::nonzero_positions;
 use crate::solution::SolveStatus;
 use crate::sparse::SparseMat;
@@ -80,7 +80,7 @@ impl Simplex {
     }
 
     fn primal_pivots(&mut self, row: &mut PivotRow) -> LpResult<SolveStatus> {
-        let limit = self.auto_iter_limit();
+        let limit = self.iter_limit();
         let total = self.total_vars();
         let mut w = vec![0.0; self.m];
         let mut rho = vec![0.0; self.m];
@@ -143,11 +143,10 @@ impl Simplex {
             // nonzeros, in the same ascending order.
             let mut t_max = self.hi[q] - self.lo[q];
             let mut leave: Option<(usize, bool, f64)> = None; // (pos, to_upper, |pivot|)
-            let ft = self.cfg.feas_tol;
             let tie = 1e-9;
             for &i in &w_nz {
                 let wi = w[i] * dir;
-                if wi.abs() <= self.cfg.pivot_tol {
+                if wi.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let j = self.basis[i];
@@ -208,12 +207,12 @@ impl Simplex {
                         VarState::AtLower
                     };
                     self.iterations += 1;
-                    self.degen_run = if t <= ft { self.degen_run + 1 } else { 0 };
+                    self.degen_run = if t <= FEAS_TOL { self.degen_run + 1 } else { 0 };
                 }
                 Some((pos, to_upper, _)) => {
                     let t = t_max;
                     let piv = w[pos];
-                    if piv.abs() <= self.cfg.pivot_tol {
+                    if piv.abs() <= PIVOT_TOL {
                         // Numerically unusable pivot; reject this column once.
                         rejected[q] = true;
                         continue;
@@ -253,7 +252,7 @@ impl Simplex {
                     self.update_devex(&mut devex, row, q, piv, leaving);
                     self.update_basis(pos, q, &w, &w_nz);
                     self.iterations += 1;
-                    self.degen_run = if t <= ft { self.degen_run + 1 } else { 0 };
+                    self.degen_run = if t <= FEAS_TOL { self.degen_run + 1 } else { 0 };
                     rejected.iter_mut().for_each(|r| *r = false);
                 }
             }
@@ -263,7 +262,6 @@ impl Simplex {
     /// Devex (or Bland, when `bland`) pricing over nonbasic variables,
     /// reading the reduced costs `d`.
     fn price(&self, d: &[f64], bland: bool, rejected: &[bool], devex: &[f64]) -> Entering {
-        let tol = self.cfg.opt_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
         for j in 0..self.total_vars() {
             if rejected[j] {
@@ -288,20 +286,20 @@ impl Simplex {
             let d = d[j];
             let (dir, score) = if dir == 0.0 {
                 // Free variable: move against the gradient.
-                if d < -tol {
+                if d < -OPT_TOL {
                     (1.0, -d)
-                } else if d > tol {
+                } else if d > OPT_TOL {
                     (-1.0, d)
                 } else {
                     continue;
                 }
             } else if dir > 0.0 {
-                if d < -tol {
+                if d < -OPT_TOL {
                     (1.0, -d)
                 } else {
                     continue;
                 }
-            } else if d > tol {
+            } else if d > OPT_TOL {
                 (-1.0, d)
             } else {
                 continue;

@@ -37,7 +37,7 @@
 use crate::solver::{
     canon_cmp, most_fractional_binary, most_violated_compl, propose_contained, to_min_space,
     Checkpoint, FrontierNode, IncumbentCallback, LpSolveStats, MilpConfig, MilpSolution,
-    MilpStatus, TrajAxis, MAX_CALLBACK_PANICS,
+    MilpStatus, TrajAxis, MAX_CALLBACK_PANICS, REL_GAP,
 };
 use crate::{MilpError, MilpResult};
 use metaopt_lp::{Basis, LpError, Simplex, SolveStatus, VarId};
@@ -502,7 +502,7 @@ impl<'a> Det<'a> {
     }
 
     fn propose(&mut self, relaxation: &[f64]) -> Option<(Vec<f64>, f64)> {
-        if self.cfg.callback_every == 0 || self.callback_panics >= MAX_CALLBACK_PANICS {
+        if self.callback_panics >= MAX_CALLBACK_PANICS {
             return None;
         }
         let inject = self.fire_fault(FaultSite::CallbackPanic);
@@ -551,7 +551,7 @@ impl<'a> Det<'a> {
         if let Some((_, inc)) = &self.incumbent {
             let bound = self.open_bound();
             let gap = (inc - bound) / inc.abs().max(1.0);
-            if gap <= self.cfg.rel_gap {
+            if gap <= REL_GAP {
                 self.proven_bound = bound;
                 return true;
             }
@@ -681,18 +681,14 @@ impl<'a> Det<'a> {
                 if !degraded && obj >= self.incumbent_obj() - 1e-9 {
                     return Ok(()); // pruned by bound
                 }
-                if self.cfg.callback_every > 0
-                    && (self.nodes - 1).is_multiple_of(self.cfg.callback_every)
-                {
-                    let relax_vals = self.cm.extract_values(&x);
-                    if let Some((vals, model_obj)) = self.propose(&relax_vals) {
-                        let min_obj = to_min_space(self.cm, model_obj);
-                        self.record_incumbent(vals, min_obj);
-                    }
+                let relax_vals = self.cm.extract_values(&x);
+                if let Some((vals, model_obj)) = self.propose(&relax_vals) {
+                    let min_obj = to_min_space(self.cm, model_obj);
+                    self.record_incumbent(vals, min_obj);
                 }
                 match (
-                    most_fractional_binary(self.cm, self.cfg.int_tol, &x),
-                    most_violated_compl(self.cm, self.cfg.compl_tol, &x),
+                    most_fractional_binary(self.cm, &x),
+                    most_violated_compl(self.cm, &x),
                 ) {
                     (None, None) => {
                         if degraded {
@@ -800,7 +796,7 @@ impl<'a> Det<'a> {
         let (status, values, objective) = match (&self.incumbent, self.stopped_early) {
             (Some((vals, obj)), early) => {
                 let gap = (obj - bound_min) / obj.abs().max(1.0);
-                let st = if !early || gap <= self.cfg.rel_gap {
+                let st = if !early || gap <= REL_GAP {
                     MilpStatus::Optimal
                 } else {
                     MilpStatus::Feasible

@@ -13,14 +13,22 @@ use std::time::{Duration, Instant};
 /// the callback for the rest of the search.
 pub(crate) const MAX_CALLBACK_PANICS: usize = 3;
 
+/// Stop when `(incumbent − bound) / max(1, |incumbent|) <= REL_GAP`.
+pub(crate) const REL_GAP: f64 = 1e-6;
+
+/// Integrality tolerance on binaries.
+const INT_TOL: f64 = 1e-6;
+
+/// Complementarity tolerance: a pair `(λ, s)` is violated when
+/// `min(λ, s) > COMPL_TOL · (1 + max(λ, s))`.
+const COMPL_TOL: f64 = 1e-6;
+
 /// Tunable branch-and-bound parameters (defaults follow the paper's §3.3
 /// methodology where applicable).
 #[derive(Debug, Clone)]
 pub struct MilpConfig {
     /// Hard wall-clock budget.
     pub time_limit: Option<Duration>,
-    /// Stop when `(incumbent − bound) / max(1, |incumbent|) <= rel_gap`.
-    pub rel_gap: f64,
     /// §3.3 stall rule: stop when no relative improvement of at least
     /// [`MilpConfig::stall_improvement`] happened within this window.
     pub stall_window: Option<Duration>,
@@ -28,13 +36,6 @@ pub struct MilpConfig {
     pub stall_improvement: f64,
     /// Node budget.
     pub max_nodes: usize,
-    /// Integrality tolerance on binaries.
-    pub int_tol: f64,
-    /// Complementarity tolerance: a pair `(λ, s)` is violated when
-    /// `min(λ, s) > compl_tol · (1 + max(λ, s))`.
-    pub compl_tol: f64,
-    /// Invoke the incumbent callback every this many nodes (0 = never).
-    pub callback_every: usize,
     /// Stop as soon as an incumbent at least this good exists (model space:
     /// `>=` for Max objectives, `<=` for Min). Used by feasibility probes
     /// such as the §3.3 binary sweep ("any input with a gap at least g").
@@ -71,13 +72,9 @@ impl Default for MilpConfig {
     fn default() -> Self {
         MilpConfig {
             time_limit: None,
-            rel_gap: 1e-6,
             stall_window: None,
             stall_improvement: 0.005,
             max_nodes: usize::MAX,
-            int_tol: 1e-6,
-            compl_tol: 1e-6,
-            callback_every: 1,
             target_objective: None,
             budget: Budget::unlimited(),
             fault_plan: None,
@@ -91,14 +88,6 @@ impl Default for MilpConfig {
 }
 
 impl MilpConfig {
-    /// Convenience: a configuration with only a time budget set.
-    pub fn with_time_limit(seconds: f64) -> Self {
-        MilpConfig {
-            time_limit: Some(Duration::from_secs_f64(seconds)),
-            ..Default::default()
-        }
-    }
-
     /// Convenience: a configuration governed by `budget` alone.
     pub fn with_budget(budget: Budget) -> Self {
         MilpConfig {
@@ -124,7 +113,7 @@ impl MilpConfig {
 /// Terminal status of a branch-and-bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MilpStatus {
-    /// Proven optimal (within the configured relative gap).
+    /// Proven optimal (to a relative gap of 1e-6).
     Optimal,
     /// A feasible incumbent exists but budgets expired before proving
     /// optimality.
@@ -319,16 +308,6 @@ impl Checkpoint {
     /// Nodes processed before the interruption.
     pub fn nodes_processed(&self) -> usize {
         self.nodes
-    }
-
-    /// Whether an incumbent was in hand at the interruption.
-    pub fn has_incumbent(&self) -> bool {
-        self.incumbent.is_some()
-    }
-
-    /// The incumbent objective in *min-space*, if one was in hand.
-    pub fn incumbent_objective_min(&self) -> Option<f64> {
-        self.incumbent.as_ref().map(|(_, o)| *o)
     }
 }
 
@@ -928,7 +907,7 @@ impl<'a> Search<'a> {
         if let Some((_, inc)) = &self.incumbent {
             let bound = self.open_bound().min(in_hand);
             let gap = (inc - bound) / inc.abs().max(1.0);
-            if gap <= self.cfg.rel_gap {
+            if gap <= REL_GAP {
                 self.proven_bound = bound;
                 return true;
             }
@@ -953,7 +932,7 @@ impl<'a> Search<'a> {
     /// incumbent"), and the panic is recorded as a [`SolverFault`];
     /// repeated panics disable the callback for the rest of the search.
     fn propose_guarded(&mut self, relaxation: &[f64]) -> Option<(Vec<f64>, f64)> {
-        if self.cfg.callback_every == 0 || self.callback_panics >= MAX_CALLBACK_PANICS {
+        if self.callback_panics >= MAX_CALLBACK_PANICS {
             return None;
         }
         let inject = self.fire_fault(FaultSite::CallbackPanic);
@@ -1081,12 +1060,10 @@ impl<'a> Search<'a> {
         }
 
         // Incumbent callback on the relaxation point (panic-contained).
-        if self.cfg.callback_every > 0 && (self.nodes - 1).is_multiple_of(self.cfg.callback_every) {
-            let relax_vals = self.cm.extract_values(&sol.x);
-            if let Some((vals, model_obj)) = self.propose_guarded(&relax_vals) {
-                let min_obj = to_min_space(self.cm, model_obj);
-                self.record_incumbent(vals, min_obj, start);
-            }
+        let relax_vals = self.cm.extract_values(&sol.x);
+        if let Some((vals, model_obj)) = self.propose_guarded(&relax_vals) {
+            let min_obj = to_min_space(self.cm, model_obj);
+            self.record_incumbent(vals, min_obj, start);
         }
 
         // Find a violated branching object. Binary branching is preferred:
@@ -1094,8 +1071,8 @@ impl<'a> Search<'a> {
         // search space.
         let lp_x = &sol.x;
         match (
-            self.most_fractional_binary(lp_x),
-            self.most_violated_compl(lp_x),
+            most_fractional_binary(self.cm, lp_x),
+            most_violated_compl(self.cm, lp_x),
         ) {
             (None, None) => {
                 if sol.degraded {
@@ -1117,14 +1094,6 @@ impl<'a> Search<'a> {
             }
         }
         Ok(())
-    }
-
-    fn most_fractional_binary(&self, lp_x: &[f64]) -> Option<(VarId, f64, f64)> {
-        most_fractional_binary(self.cm, self.cfg.int_tol, lp_x)
-    }
-
-    fn most_violated_compl(&self, lp_x: &[f64]) -> Option<(VarId, VarId, f64, f64)> {
-        most_violated_compl(self.cm, self.cfg.compl_tol, lp_x)
     }
 
     /// Queues a branched node's children: the dive child is solved next
@@ -1220,7 +1189,7 @@ impl<'a> Search<'a> {
         let (status, values, objective) = match (&self.incumbent, self.stopped_early) {
             (Some((vals, obj)), early) => {
                 let gap = (obj - bound_min) / obj.abs().max(1.0);
-                let st = if !early || gap <= self.cfg.rel_gap {
+                let st = if !early || gap <= REL_GAP {
                     MilpStatus::Optimal
                 } else {
                     MilpStatus::Feasible
@@ -1263,7 +1232,6 @@ pub(crate) fn to_min_space(cm: &CompiledModel, model_obj: f64) -> f64 {
 /// binary whose relaxation value is farthest from integral.
 pub(crate) fn most_fractional_binary(
     cm: &CompiledModel,
-    int_tol: f64,
     lp_x: &[f64],
 ) -> Option<(VarId, f64, f64)> {
     let mut best: Option<(VarId, f64, f64)> = None;
@@ -1271,7 +1239,7 @@ pub(crate) fn most_fractional_binary(
         let id = cm.lp_var(*b);
         let x = lp_x[id.0];
         let frac = (x - x.round()).abs();
-        if frac > int_tol {
+        if frac > INT_TOL {
             match best {
                 Some((_, _, bf)) if bf >= frac => {}
                 _ => best = Some((id, x, frac)),
@@ -1285,7 +1253,6 @@ pub(crate) fn most_fractional_binary(
 /// complementarity pair `(λ, s)` with the largest `min(λ, s)` violation.
 pub(crate) fn most_violated_compl(
     cm: &CompiledModel,
-    compl_tol: f64,
     lp_x: &[f64],
 ) -> Option<(VarId, VarId, f64, f64)> {
     let mut best: Option<(VarId, VarId, f64, f64, f64)> = None;
@@ -1293,7 +1260,7 @@ pub(crate) fn most_violated_compl(
         let mv = lp_x[m.0];
         let sv = lp_x[s.0];
         let viol = mv.min(sv);
-        if viol > compl_tol * (1.0 + mv.max(sv)) {
+        if viol > COMPL_TOL * (1.0 + mv.max(sv)) {
             match best {
                 Some((.., bviol)) if bviol >= viol => {}
                 _ => best = Some((m, s, mv, sv, viol)),

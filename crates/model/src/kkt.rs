@@ -247,12 +247,11 @@ pub struct KktArtifacts {
 
 /// Appends the KKT conditions of `inner` onto `model`.
 ///
-/// A default multiplier upper bound `dual_bound` keeps branch-and-bound
+/// A finite multiplier upper bound `dual_bound` keeps branch-and-bound
 /// relaxations bounded; it must be chosen large enough not to cut off the
 /// true multipliers (for max-flow style problems, the largest objective
-/// coefficient times the longest path length is safe — callers in
-/// `metaopt-core` derive it from the formulation). Pass `f64::INFINITY` for
-/// no bound.
+/// coefficient times the longest path length is safe). Pass
+/// `f64::INFINITY` for no bound, as every encoder in `metaopt-core` does.
 pub fn append_kkt(
     model: &mut Model,
     inner: &InnerProblem,

@@ -11,12 +11,12 @@
 //! | MC107 | warning  | big-M/bounds conflict: a binary setting is infeasible by interval analysis |
 //!
 //! The KKT system is reconstructed from the rewriter's stable naming
-//! convention (see [`crate::names`]): for an inner problem `X`,
-//! [`metaopt_model::kkt::append_kkt`] emits primal rows `X::pf[c]`,
-//! multipliers `X::lam[c]` (inequalities, bounds `[0, B]`) and `X::mu[c]`
-//! (equalities, free), stationarity rows `X::stat[v]`, one complementarity
-//! pair `lam ⟂ −g` per inequality, and reduced-cost pairs `x ⟂ ν(x)` for
-//! natively-nonnegative inner variables.
+//! convention (parsed by this crate's `names` module): for an inner
+//! problem `X`, [`metaopt_model::kkt::append_kkt`] emits primal rows
+//! `X::pf[c]`, multipliers `X::lam[c]` (inequalities, bounds `[0, B]`) and
+//! `X::mu[c]` (equalities, free), stationarity rows `X::stat[v]`, one
+//! complementarity pair `lam ⟂ −g` per inequality, and reduced-cost pairs
+//! `x ⟂ ν(x)` for natively-nonnegative inner variables.
 //!
 //! A prefix with primal rows but *no* multipliers, stationarity rows, or
 //! complementarity pairs is a deliberate primal-only encoding

@@ -9,7 +9,7 @@
 //! an unrecoverable `SolverFault`, giving a post-mortem of what the
 //! process was doing when it died.
 //!
-//! Time comes from the injected [`Clock`](crate::clock::Clock) — the
+//! Time comes from the injected [`Clock`] — the
 //! AN001-approved source — so tests drive span durations with a
 //! `TestClock` and record timestamps deterministically. Timestamps are
 //! microseconds since the tracer's construction (its *epoch*), not wall

@@ -485,14 +485,6 @@ impl FaultPlan {
             .map_or(0, |s| s.hits.load(Ordering::Relaxed))
     }
 
-    /// Total faults fired across all sites.
-    pub fn total_fired(&self) -> usize {
-        self.sites
-            .iter()
-            .map(|s| s.fired.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// The sites this plan targets.
     pub fn targeted_sites(&self) -> Vec<FaultSite> {
         self.sites.iter().map(|s| s.site).collect()

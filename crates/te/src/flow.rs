@@ -23,6 +23,15 @@ pub fn edge_incidence(inst: &TeInstance) -> Vec<Vec<(usize, usize)>> {
     inc
 }
 
+/// The instance's edge capacities as constant expressions, indexed by
+/// edge: the capacities [`feasible_flow_inner`] builds its rows on.
+pub fn capacity_constants(inst: &TeInstance) -> Vec<LinExpr> {
+    inst.topo
+        .edges()
+        .map(|e| LinExpr::constant(inst.topo.capacity(e)))
+        .collect()
+}
+
 /// Emits `FeasibleFlow(V, E, D, P)` as an [`InnerProblem`] inside `model`,
 /// with capacities taken from the instance's topology.
 ///
@@ -36,18 +45,14 @@ pub fn feasible_flow_inner(
     inst: &TeInstance,
     demand_exprs: &[LinExpr],
 ) -> TeResult<(InnerProblem, FlowVars)> {
-    let caps: Vec<LinExpr> = inst
-        .topo
-        .edges()
-        .map(|e| LinExpr::constant(inst.topo.capacity(e)))
-        .collect();
-    feasible_flow_inner_caps(model, name, inst, demand_exprs, &caps)
+    feasible_flow_inner_caps(model, name, inst, demand_exprs, &capacity_constants(inst))
 }
 
 /// [`feasible_flow_inner`] with *symbolic* edge capacities (`cap_exprs[e]`
 /// replaces `c_e`) — the building block of §5's "topology changes that
 /// cause the worst-case gap": capacities become leader variables while
-/// remaining constants to the follower LPs.
+/// remaining constants to the follower LPs. Only the instance's pairs,
+/// paths and edge count are read; its own capacities are not.
 pub fn feasible_flow_inner_caps(
     model: &mut Model,
     name: &str,

@@ -9,8 +9,8 @@
 //! * [`TeInstance`] — a topology plus demand pairs plus k-shortest path
 //!   sets (Table 1's `V, E, D, P`),
 //! * [`flow`] — builders that emit the `FeasibleFlow` polytope (Eq. 2) into
-//!   a model or an [`InnerProblem`] with *symbolic* demand volumes (the
-//!   leader's variables of Eq. 1),
+//!   a model or a [`metaopt_model::InnerProblem`] with *symbolic* demand
+//!   volumes (the leader's variables of Eq. 1),
 //! * [`opt`] — `OptMaxFlow` (Eq. 3): the optimal total-flow LP, a cold
 //!   direct evaluator, and [`OptEvaluator`], which re-solves one LP warm
 //!   across many demand vectors,
@@ -38,8 +38,6 @@ pub use instance::TeInstance;
 pub use opt::{OptEvaluator, OptOutcome};
 pub use pop::{client_split, random_partitions, Partition, PopOutcome};
 pub use utility::{max_utility, UtilityCurve, UtilityOutcome};
-
-use metaopt_model::InnerProblem;
 
 /// Errors raised by the TE layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,16 +120,5 @@ impl FlowVars {
             e.add_term(v, 1.0);
         }
         e
-    }
-
-    /// Registers every flow variable with an inner problem (when the flow
-    /// polytope was built directly into a model rather than through
-    /// [`flow::feasible_flow_inner`]).
-    pub fn register_all(&self, inner: &mut InnerProblem) {
-        for paths in &self.per_pair {
-            for &v in paths {
-                inner.register_var(v);
-            }
-        }
     }
 }

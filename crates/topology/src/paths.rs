@@ -32,11 +32,6 @@ impl Path {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// Whether the path uses edge `e`.
-    pub fn uses_edge(&self, e: EdgeId) -> bool {
-        self.edges.contains(&e)
-    }
 }
 
 /// The pre-chosen paths of every demand pair: `paths[k]` lists the paths of
