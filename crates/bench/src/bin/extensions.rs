@@ -4,7 +4,7 @@
 
 use metaopt_bench::{budget_secs, f, CsvOut};
 use metaopt_core::{
-    find_adversarial_gap, find_adversarial_topology, sweep_max_gap, ConstrainedSet,
+    find_adversarial_gap, find_adversarial_topology, sweep_max_gap, Budget, ConstrainedSet,
     FinderConfig, HeuristicSpec, TopologyAttack,
 };
 use metaopt_te::TeInstance;
@@ -58,13 +58,18 @@ fn main() {
     csv.row(["quantized".into(), f(quant.verified_gap / norm), f(quant_secs), format!("{} nodes", quant.nodes)]);
 
     // 2. Binary sweep (the §3.3 Z3-style strategy) at a fraction of the
-    //    budget per probe.
+    //    budget per probe. The sweep honours `FinderConfig::budget` as a
+    //    cap on the whole run, so only the per-probe limits stay.
     let t = Instant::now();
+    let probe_cfg = FinderConfig {
+        budget: Budget::unlimited(),
+        ..FinderConfig::budgeted((budget / 4.0).max(3.0))
+    };
     let sweep = sweep_max_gap(
         &inst,
         &spec,
         &ConstrainedSet::unconstrained(),
-        &FinderConfig::budgeted((budget / 4.0).max(3.0)),
+        &probe_cfg,
         0.0,
         norm,
         norm / 200.0,

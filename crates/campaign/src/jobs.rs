@@ -263,8 +263,9 @@ pub enum JobStatus {
     Pending {
         /// Attempts already burnt (failed runs).
         attempt: usize,
-        /// Last durable tick boundary, if any.
-        resume: Option<SweepState>,
+        /// Last durable tick boundary, if any; boxed, so that a finished
+        /// job's status stays small.
+        resume: Option<Box<SweepState>>,
         /// Whether a `cancel` record has been journaled.
         cancel_requested: bool,
     },
@@ -445,7 +446,7 @@ impl JobBook {
                 JobRecord::Run { fence, .. } => max_fence = max_fence.max(fence),
                 JobRecord::Ckpt { state, .. } => {
                     if let JobStatus::Pending { resume, .. } = &mut entry.status {
-                        *resume = Some(*state);
+                        *resume = Some(state);
                     }
                 }
                 JobRecord::Done { outcome, .. } => entry.status = JobStatus::Done(outcome),

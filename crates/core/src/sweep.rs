@@ -126,7 +126,7 @@ pub fn find_gap_at_least(
     let am = build_probe_model(inst, spec, constraints, cfg, g, true)?;
     let milp_cfg = MilpConfig {
         target_objective: Some(g),
-        ..cfg.milp_config()
+        ..cfg.budgeted_milp_config()
     };
     // Reuse the finder's callback machinery through find_adversarial_gap's
     // building blocks: a plain solve is enough here because the incumbent
@@ -142,7 +142,8 @@ pub fn find_gap_at_least(
 }
 
 /// Binary-sweeps the largest certifiable gap in `[lo, hi]` to within
-/// `resolution`, spending `cfg.milp`'s budget per probe.
+/// `resolution`, spending `cfg.milp`'s budget per probe; every probe also
+/// stops when [`FinderConfig::budget`] runs out.
 pub fn sweep_max_gap(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -324,7 +325,7 @@ pub fn sweep_tick(
     let mut milp_cfg = MilpConfig {
         target_objective: Some(g),
         max_nodes: window_end,
-        ..cfg.milp_config()
+        ..cfg.budgeted_milp_config()
     };
     if let Some(dl) = slice.deadline {
         milp_cfg.budget = milp_cfg.budget.min_with(metaopt_milp::Budget::until(dl));
@@ -501,5 +502,34 @@ mod tests {
         assert_eq!(result.threshold, direct.threshold);
         assert_eq!(result.probes, direct.probes);
         assert!(ticks > 1, "slices of 7 nodes must suspend at least once");
+    }
+
+    /// Both sweep drivers compose `FinderConfig::budget` into every
+    /// probe, as the finder does: under an expired budget no probe
+    /// processes a node.
+    #[test]
+    fn expired_finder_budget_stops_every_probe() {
+        let inst = fig1();
+        let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
+        let cs = ConstrainedSet::unconstrained();
+        let metrics = metaopt_milp::MilpMetrics::register(&metaopt_obs::Registry::new());
+        let mut cfg = FinderConfig {
+            budget: metaopt_milp::Budget::from_secs_f64(0.0),
+            ..FinderConfig::default()
+        };
+        cfg.milp.metrics = metrics.clone();
+        let r = sweep_max_gap(&inst, &spec, &cs, &cfg, 0.0, 100.0, 2.0).unwrap();
+        assert_eq!(metrics.nodes.get(), 0, "{} probes", r.probes);
+
+        let mut state = SweepState::new(0.0, 100.0, 2.0).unwrap();
+        let slice = SliceBudget::nodes(64);
+        let state = loop {
+            match sweep_tick(&inst, &spec, &cs, &cfg, state, &slice).unwrap() {
+                SweepTick::Done(s) => break s,
+                SweepTick::Paused(s) => state = s,
+            }
+        };
+        assert_eq!(state.nodes, 0);
+        assert_eq!(metrics.nodes.get(), 0);
     }
 }

@@ -60,6 +60,14 @@ pub struct TopologyAttackResult {
     pub gap: GapResult,
 }
 
+/// A candidate replaces the capacity callback's best only when its
+/// certified gap is larger by more than this share of the best gap. Near a
+/// plateau of equally damaging degradations, candidate gaps creep up in
+/// steps of about 1e-9, the size by which the two factorization backends'
+/// evaluations of one candidate differ; without the margin the reported
+/// capacities would follow the backend's last bits.
+const MIN_IMPROVEMENT: f64 = 1e-9;
+
 /// Builds an instance whose topology carries the given capacities (paths
 /// are hop-based and therefore unchanged).
 fn with_capacities(inst: &TeInstance, caps: &[f64]) -> CoreResult<TeInstance> {
@@ -81,6 +89,9 @@ struct CapacityEvaluator<'a> {
     cap_indices: Vec<usize>,
     cap_lo: Vec<f64>,
     cap_hi: Vec<f64>,
+    /// [`TopologyAttack::total_budget`]: the most capacity a candidate may
+    /// remove in total.
+    total_budget: Option<f64>,
     n_model_vars: usize,
     best: Option<(Vec<f64>, f64)>,
     sweep_cursor: usize,
@@ -96,10 +107,27 @@ impl CapacityEvaluator<'_> {
         Some(opt - heu)
     }
 
-    fn consider(&mut self, caps: Vec<f64>, evals: &mut usize) {
+    /// Certifies one candidate, first scaling its removal vector
+    /// `c⁰ − c` down to the total budget (which keeps every per-edge
+    /// bound): branch-and-bound trusts callback incumbents, so a
+    /// candidate over budget would be reported as the attack's answer.
+    fn consider(&mut self, mut caps: Vec<f64>, evals: &mut usize) {
         *evals += 1;
+        if let Some(budget) = self.total_budget {
+            let removed: f64 = self.cap_hi.iter().zip(&caps).map(|(c0, c)| c0 - c).sum();
+            if removed > budget {
+                let scale = budget / removed;
+                for (c, c0) in caps.iter_mut().zip(&self.cap_hi) {
+                    *c = c0 - (c0 - *c) * scale;
+                }
+            }
+        }
         if let Some(g) = self.certify(&caps) {
-            if self.best.as_ref().is_none_or(|(_, bg)| g > *bg) {
+            if self
+                .best
+                .as_ref()
+                .is_none_or(|(_, bg)| g > bg + MIN_IMPROVEMENT * bg.abs().max(1.0))
+            {
                 self.best = Some((caps, g));
             }
         }
@@ -251,6 +279,7 @@ pub fn find_adversarial_topology(
         cap_indices: cap_vars.iter().map(|v| v.0).collect(),
         cap_lo: cap_lo.clone(),
         cap_hi: cap_hi.clone(),
+        total_budget: attack.total_budget,
         n_model_vars: model.n_vars(),
         best: None,
         sweep_cursor: 0,

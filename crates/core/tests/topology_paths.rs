@@ -13,10 +13,12 @@
 //! `cfg.milp` itself, and every search stops on a node cap, never on
 //! time.
 //!
-//! The pins record what the attack does, not what it should do: ring6's
-//! capacities remove 360 units against its 150-unit total budget, because
-//! the capacity callback proposes the all-degraded corner without checking
-//! that budget.
+//! Every case also checks that the chosen capacities remove no more than
+//! the attack's total budget. ring6's constants were re-captured when the
+//! capacity callback began scaling its candidates down to that budget and
+//! keeping its first candidate among near-ties; before, it reported all
+//! twelve links at 70, removing 360 of 150 units. The callback's own LPs
+//! follow `METAOPT_FACTOR`, and every pin holds on both backends.
 
 use metaopt_core::{
     find_adversarial_topology, FactorBackend, FinderConfig, HeuristicSpec, PopMode, TopologyAttack,
@@ -81,9 +83,9 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         name: "ring6",
-        capacities: &[70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0, 70.0],
-        model_gap: 60.0,
-        verified_gap: 60.0,
+        capacities: &[70.0000001974607, 70.0000001258147, 70.00000006016155, 70.00000027564658, 100.0, 100.0, 100.0, 84.99999967045827, 84.99999967045821, 100.0, 100.0, 100.0],
+        model_gap: 59.999999340916474,
+        verified_gap: 59.999999340916474,
         upper_bound: 720.0,
         nodes: 200,
         status: MilpStatus::Feasible,
@@ -190,6 +192,18 @@ fn check(name: &str) {
     assert_eq!(g.status, golden.status, "{now}");
     assert_eq!(g.stats, golden.stats, "{now}");
     assert_eq!(lp, golden.lp, "{now}");
+    if let Some(budget) = attack.total_budget {
+        let removed: f64 = inst
+            .topo
+            .edges()
+            .zip(&r.capacities)
+            .map(|(e, c)| inst.topo.capacity(e) - c)
+            .sum();
+        assert!(
+            removed <= budget * (1.0 + 1e-9),
+            "{name} removes {removed} against a total budget of {budget}"
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! HTTP API over the job server: routing, status mapping, the bounded
-//! acceptor, and the chunked event stream.
+//! blocking acceptor, and the chunked event stream.
 //!
 //! | Route                     | Meaning                                   |
 //! |---------------------------|-------------------------------------------|
@@ -24,7 +24,7 @@ use crate::json::Json;
 use crate::server::{CancelError, GapServer, SubmitError};
 use crate::spec::parse_submit;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,27 +37,34 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// ring itself is bounded; this just caps one response body).
 pub const TRACE_TAIL: usize = 256;
 
-/// Serves the job API on `listener` until the server stops (drain or
-/// fatal journal failure). Thread-per-connection behind a hard cap.
+/// Serves the job API on `listener` until [`GapServer::drain`] stops the
+/// server. Thread-per-connection behind a hard cap.
+///
+/// The acceptor blocks in `accept`. It registers the listener's address
+/// with the server first, and `drain` wakes it with one connection to
+/// that address once the server has stopped.
 pub fn serve(server: &Arc<GapServer>, listener: TcpListener) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    if !server.register_acceptor(listener.local_addr()?) {
+        return Ok(());
+    }
     let live = Arc::new(AtomicUsize::new(0));
     loop {
-        if server.is_stopped() {
-            return Ok(());
-        }
         let (mut stream, _) = match listener.accept() {
             Ok(conn) => conn,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
             }
             Err(e) => return Err(e),
         };
-        // The handler threads do blocking reads; restore blocking mode on
-        // the accepted socket with a read timeout so a silent peer cannot
-        // pin a slot forever.
-        let _ = stream.set_nonblocking(false);
+        if server.is_stopped() {
+            return Ok(());
+        }
+        // A read timeout so a silent peer cannot pin a slot forever.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         if live.load(Ordering::Acquire) >= MAX_CONNECTIONS {
             server.metrics().shed_connections.inc();
@@ -99,6 +106,19 @@ pub fn serve(server: &Arc<GapServer>, listener: TcpListener) -> io::Result<()> {
                 .set((live.fetch_sub(1, Ordering::AcqRel) - 1) as f64);
         });
     }
+}
+
+/// Unblocks an acceptor waiting in `accept` on `addr` with one throwaway
+/// connection; a wildcard address (`0.0.0.0`, `::`) is reached over
+/// loopback. A refused connection means the acceptor is already gone.
+pub(crate) fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 fn handle(server: &Arc<GapServer>, stream: &mut TcpStream) -> io::Result<()> {

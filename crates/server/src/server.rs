@@ -38,6 +38,7 @@ use metaopt_resilience::{
     FaultPlan, FaultSite, RetryDecision, RetryPolicy, ServiceFault, WorkerKillReason,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -173,19 +174,121 @@ pub enum CancelError {
 }
 
 /// One job's live state: the replay-shaped entry plus the event log the
-/// streaming endpoint serves.
+/// streaming endpoint serves. The job table boxes it: ids arrive in
+/// ascending order, so the map's nodes stay about half full, and an
+/// inline value would cost twice its size in node space.
 #[derive(Debug)]
 struct JobRuntime {
     entry: JobEntry,
-    /// NDJSON event lines (without trailing newline), append-only.
-    events: Vec<String>,
+    /// Lifecycle events, append-only; rendered to NDJSON when streamed.
+    events: Vec<Event>,
     /// No further events will ever be appended (terminal state reached).
     events_done: bool,
 }
 
+/// One lifecycle event of a job, kept typed and rendered to its NDJSON
+/// line (see [`Event::render`]) only when a client streams it.
+#[derive(Debug, Clone)]
+enum Event {
+    Admitted {
+        priority: u8,
+        model_vars: usize,
+    },
+    Recovered {
+        status: &'static str,
+    },
+    Run {
+        attempt: usize,
+        fence: u64,
+    },
+    Checkpoint {
+        lo_bound: f64,
+        hi_bound: f64,
+        probes: usize,
+        nodes: usize,
+        incumbent_gap: Option<f64>,
+    },
+    Done {
+        threshold: Option<f64>,
+        verified_gap: Option<f64>,
+        probes: usize,
+        nodes: usize,
+    },
+    /// A failed attempt, rendered once: its kind and detail are free text.
+    Failed(Box<str>),
+    Quarantined {
+        reason: &'static str,
+    },
+    CancelRequested,
+    Cancelled,
+}
+
+impl Event {
+    /// The event's NDJSON line (without trailing newline) for job `id`.
+    fn render(&self, id: u64) -> String {
+        let (name, extra) = match self {
+            Event::Admitted {
+                priority,
+                model_vars,
+            } => (
+                "admitted",
+                vec![
+                    ("priority", Json::Num(f64::from(*priority))),
+                    ("model_vars", Json::Num(*model_vars as f64)),
+                ],
+            ),
+            Event::Recovered { status } => ("recovered", vec![("status", Json::str(*status))]),
+            Event::Run { attempt, fence } => (
+                "run",
+                vec![
+                    ("attempt", Json::Num(*attempt as f64)),
+                    ("fence", Json::Num(*fence as f64)),
+                ],
+            ),
+            Event::Checkpoint {
+                lo_bound,
+                hi_bound,
+                probes,
+                nodes,
+                incumbent_gap,
+            } => {
+                let mut extra = vec![
+                    ("lo_bound", Json::Num(*lo_bound)),
+                    ("hi_bound", Json::Num(*hi_bound)),
+                    ("probes", Json::Num(*probes as f64)),
+                    ("nodes", Json::Num(*nodes as f64)),
+                ];
+                if let Some(g) = incumbent_gap {
+                    extra.push(("incumbent_gap", Json::Num(*g)));
+                }
+                ("checkpoint", extra)
+            }
+            Event::Done {
+                threshold,
+                verified_gap,
+                probes,
+                nodes,
+            } => (
+                "done",
+                vec![
+                    ("threshold", opt_num(*threshold)),
+                    ("verified_gap", opt_num(*verified_gap)),
+                    ("probes", Json::Num(*probes as f64)),
+                    ("nodes", Json::Num(*nodes as f64)),
+                ],
+            ),
+            Event::Failed(line) => return line.to_string(),
+            Event::Quarantined { reason } => ("quarantined", vec![("reason", Json::str(*reason))]),
+            Event::CancelRequested => ("cancel_requested", vec![]),
+            Event::Cancelled => ("cancelled", vec![]),
+        };
+        event_line(name, id, extra)
+    }
+}
+
 struct Inner {
     journal: Journal,
-    jobs: BTreeMap<u64, JobRuntime>,
+    jobs: BTreeMap<u64, Box<JobRuntime>>,
     queue: AgingQueue,
     /// Backoff-delayed retries: `(due, id)`.
     delayed: Vec<(Instant, u64)>,
@@ -211,6 +314,9 @@ struct Inner {
     /// degraded server still serves HTTP.
     degraded: Option<String>,
     quotas: QuotaBook,
+    /// Listening addresses of the acceptors blocked in `accept`
+    /// ([`crate::api::serve`]); `drain` wakes each once it has stopped.
+    acceptors: Vec<SocketAddr>,
 }
 
 /// The gap-finding job server. Construct with [`GapServer::open`], start
@@ -273,11 +379,9 @@ impl GapServer {
                     JobStatus::Cancelled => metrics.jobs_cancelled.inc(),
                     JobStatus::Pending { .. } => {}
                 }
-                let mut events = vec![event_line(
-                    "recovered",
-                    id,
-                    vec![("status", Json::str(entry.status.name()))],
-                )];
+                let mut events = vec![Event::Recovered {
+                    status: entry.status.name(),
+                }];
                 let mut events_done = entry.status.is_terminal();
                 match &entry.status {
                     JobStatus::Pending {
@@ -289,7 +393,7 @@ impl GapServer {
                         journal.append(&JobRecord::Cancelled { id }.encode())?;
                         entry.status = JobStatus::Cancelled;
                         metrics.jobs_cancelled.inc();
-                        events.push(event_line("cancelled", id, vec![]));
+                        events.push(Event::Cancelled);
                         events_done = true;
                     }
                     JobStatus::Pending { .. } => {
@@ -303,11 +407,11 @@ impl GapServer {
                 }
                 jobs.insert(
                     id,
-                    JobRuntime {
+                    Box::new(JobRuntime {
                         entry,
                         events,
                         events_done,
-                    },
+                    }),
                 );
             }
             journal
@@ -335,6 +439,7 @@ impl GapServer {
                 fatal: None,
                 degraded: None,
                 quotas: QuotaBook::new(cfg.quota_burst, cfg.quota_per_sec),
+                acceptors: Vec::new(),
             }),
             work_cv: Condvar::new(),
             event_cv: Condvar::new(),
@@ -435,7 +540,7 @@ impl GapServer {
             .map_err(SubmitError::Fatal)?;
         inner.jobs.insert(
             id,
-            JobRuntime {
+            Box::new(JobRuntime {
                 entry: JobEntry {
                     id,
                     client: req.client,
@@ -449,16 +554,12 @@ impl GapServer {
                     },
                     failures: Vec::new(),
                 },
-                events: vec![event_line(
-                    "admitted",
-                    id,
-                    vec![
-                        ("priority", Json::Num(f64::from(req.priority))),
-                        ("model_vars", Json::Num(stats.n_vars as f64)),
-                    ],
-                )],
+                events: vec![Event::Admitted {
+                    priority: req.priority,
+                    model_vars: stats.n_vars,
+                }],
                 events_done: false,
-            },
+            }),
         );
         inner.queue.push(QueuedJob {
             id,
@@ -499,7 +600,7 @@ impl GapServer {
             {
                 *cancel_requested = true;
             }
-            rt.events.push(event_line("cancel_requested", id, vec![]));
+            rt.events.push(Event::CancelRequested);
         }
         // Not running: nothing to drain, finish the cancellation now.
         let queued = inner.queue.remove(id);
@@ -510,7 +611,7 @@ impl GapServer {
                 .map_err(CancelError::Fatal)?;
             if let Some(rt) = inner.jobs.get_mut(&id) {
                 rt.entry.status = JobStatus::Cancelled;
-                rt.events.push(event_line("cancelled", id, vec![]));
+                rt.events.push(Event::Cancelled);
                 rt.events_done = true;
             }
             self.metrics.jobs_cancelled.inc();
@@ -527,6 +628,7 @@ impl GapServer {
     /// Drains the server: stops admitting, lets running cells reach their
     /// next durable checkpoint, then writes the `shutdown` record and
     /// stops. Queued jobs stay journaled-pending and resume at next boot.
+    /// Once stopped, it wakes every acceptor blocked in `accept`.
     pub fn drain(&self, reason: &str) {
         let mut inner = self.lock();
         if inner.stopped {
@@ -551,9 +653,26 @@ impl GapServer {
             },
         );
         inner.stopped = true;
+        let acceptors = std::mem::take(&mut inner.acceptors);
         drop(inner);
         self.work_cv.notify_all();
         self.event_cv.notify_all();
+        for addr in acceptors {
+            crate::api::wake_acceptor(addr);
+        }
+    }
+
+    /// Registers an acceptor listening on `addr` so that [`GapServer::drain`]
+    /// can wake it; `false` when the server has already stopped. The
+    /// address and the stop flag share the server lock, so no wake-up is
+    /// lost: either `drain` sees the address or the acceptor sees the stop.
+    pub(crate) fn register_acceptor(&self, addr: SocketAddr) -> bool {
+        let mut inner = self.lock();
+        if inner.stopped {
+            return false;
+        }
+        inner.acceptors.push(addr);
+        true
     }
 
     /// Spawns the worker pool. Threads exit when the server drains or
@@ -721,7 +840,9 @@ impl GapServer {
                 let fresh = rt.events.get(seq..).unwrap_or_default().to_vec();
                 let next = rt.events.len().max(seq);
                 let done = rt.events_done || inner.stopped;
-                return Some((fresh, next, done));
+                drop(inner);
+                let lines = fresh.iter().map(|e| e.render(id)).collect();
+                return Some((lines, next, done));
             }
             // an:allow(AN001): same wall-clock poll deadline as above.
             let now = Instant::now();
@@ -763,18 +884,15 @@ impl GapServer {
         .map_err(CampaignError::Io)?;
         if let Some(rt) = inner.jobs.get_mut(&id) {
             if let JobStatus::Pending { resume, .. } = &mut rt.entry.status {
-                *resume = Some(st.clone());
+                *resume = Some(Box::new(st.clone()));
             }
-            let mut extra = vec![
-                ("lo_bound", Json::Num(st.machine.lo_bound)),
-                ("hi_bound", Json::Num(st.machine.hi_bound)),
-                ("probes", Json::Num(st.machine.probes as f64)),
-                ("nodes", Json::Num(st.nodes as f64)),
-            ];
-            if let Some(w) = &st.best_witness {
-                extra.push(("incumbent_gap", Json::Num(w.verified_gap)));
-            }
-            rt.events.push(event_line("checkpoint", id, extra));
+            rt.events.push(Event::Checkpoint {
+                lo_bound: st.machine.lo_bound,
+                hi_bound: st.machine.hi_bound,
+                probes: st.machine.probes,
+                nodes: st.nodes,
+                incumbent_gap: st.best_witness.as_ref().map(|w| w.verified_gap),
+            });
         }
         drop(inner);
         self.event_cv.notify_all();
@@ -816,16 +934,12 @@ impl GapServer {
                     return RecordVerdict::Degraded;
                 }
                 if let Some(rt) = inner.jobs.get_mut(&id) {
-                    rt.events.push(event_line(
-                        "done",
-                        id,
-                        vec![
-                            ("threshold", opt_num(outcome.threshold)),
-                            ("verified_gap", opt_num(outcome.verified_gap)),
-                            ("probes", Json::Num(outcome.probes as f64)),
-                            ("nodes", Json::Num(outcome.nodes as f64)),
-                        ],
-                    ));
+                    rt.events.push(Event::Done {
+                        threshold: outcome.threshold,
+                        verified_gap: outcome.verified_gap,
+                        probes: outcome.probes,
+                        nodes: outcome.nodes,
+                    });
                     rt.entry.status = JobStatus::Done(outcome.clone());
                     rt.events_done = true;
                 }
@@ -857,7 +971,7 @@ impl GapServer {
                     }
                     if let Some(rt) = inner.jobs.get_mut(&id) {
                         rt.entry.status = JobStatus::Cancelled;
-                        rt.events.push(event_line("cancelled", id, vec![]));
+                        rt.events.push(Event::Cancelled);
                         rt.events_done = true;
                     }
                     self.metrics.jobs_cancelled.inc();
@@ -889,14 +1003,17 @@ impl GapServer {
                     if let JobStatus::Pending { attempt: a, .. } = &mut rt.entry.status {
                         *a = attempt;
                     }
-                    rt.events.push(event_line(
-                        "failed",
-                        id,
-                        vec![
-                            ("attempt", Json::Num(attempt as f64)),
-                            ("kind", Json::str(kind.clone())),
-                            ("detail", Json::str(detail)),
-                        ],
+                    rt.events.push(Event::Failed(
+                        event_line(
+                            "failed",
+                            id,
+                            vec![
+                                ("attempt", Json::Num(attempt as f64)),
+                                ("kind", Json::str(kind.clone())),
+                                ("detail", Json::str(detail)),
+                            ],
+                        )
+                        .into_boxed_str(),
                     ));
                 }
                 // Panics are treated like fatal faults: almost certainly
@@ -936,11 +1053,9 @@ impl GapServer {
                                 reason,
                                 attempts: attempt,
                             };
-                            rt.events.push(event_line(
-                                "quarantined",
-                                id,
-                                vec![("reason", Json::str(reason.kind()))],
-                            ));
+                            rt.events.push(Event::Quarantined {
+                                reason: reason.kind(),
+                            });
                             rt.events_done = true;
                         }
                         self.metrics.jobs_quarantined.inc();
@@ -1075,7 +1190,7 @@ fn worker_loop(server: &GapServer) {
             let (burnt, resume) = match &rt.entry.status {
                 JobStatus::Pending {
                     attempt, resume, ..
-                } => (*attempt, resume.clone()),
+                } => (*attempt, resume.as_deref().cloned()),
                 // Terminal while queued (e.g. cancelled): nothing to run.
                 _ => continue,
             };
@@ -1102,14 +1217,7 @@ fn worker_loop(server: &GapServer) {
                 return;
             }
             if let Some(rt) = inner.jobs.get_mut(&id) {
-                rt.events.push(event_line(
-                    "run",
-                    id,
-                    vec![
-                        ("attempt", Json::Num(attempt as f64)),
-                        ("fence", Json::Num(fence as f64)),
-                    ],
-                ));
+                rt.events.push(Event::Run { attempt, fence });
             }
             drop(inner);
             server.event_cv.notify_all();
@@ -1286,4 +1394,26 @@ fn sandboxed_attempt(
             }
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The job table keeps every job for the server's life; a field added
+    /// inline to a job's state or to an event must not quietly undo its
+    /// compaction (376 and 56 bytes when this bound was set).
+    #[test]
+    fn job_state_stays_compact() {
+        assert!(
+            std::mem::size_of::<JobRuntime>() <= 400,
+            "JobRuntime is {} bytes",
+            std::mem::size_of::<JobRuntime>()
+        );
+        assert!(
+            std::mem::size_of::<Event>() <= 56,
+            "Event is {} bytes",
+            std::mem::size_of::<Event>()
+        );
+    }
 }

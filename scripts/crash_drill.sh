@@ -272,27 +272,14 @@ fi
 # Phase 3b: disk-full drill (injected ENOSPC => read-only draining mode).
 # ----------------------------------------------------------------------
 
-# The append schedule must be deterministic for the fault occurrence to
-# land after the acks: single-slice jobs (slice == probe cap) journal no
-# mid-cell checkpoints, so the only appends that can precede the third
-# 202 are the boot header (1), the three job records, and a run record
-# per worker (two workers) — six at most. Occurrence 7 therefore always
-# fires after every submit is acknowledged, on a run or result append,
-# while both workers are still busy with ~1s of branch-and-bound.
-fault_job_spec() { # fault_job_spec <label> <threshold>
-    cat <<EOF
-{"client":"drill","label":"$1",
- "topology":{"kind":"builtin","name":"abilene","cap":100.0},
- "heuristic":{"kind":"dp","threshold":$2},
- "sweep":{"lo":0.0,"hi":100.0,"resolution":4.0},
- "budget":{"probe_cap_nodes":50000,"slice_nodes":50000}}
-EOF
-}
-
+# The fault must land after the ack, on a record the server journals on
+# its own. With one job, the only appends before its 202 are the boot
+# header (1) and the job's `job` record (2); occurrence 3 is therefore
+# always the `run` record a worker journals when it claims the job.
 dir="$WORK/disk-full"
 rm -f "$dir/ADDR"
 mkdir -p "$dir"
-GAPSERVER_IO_FAULTS="append:7:enospc" "$GAPSERVER" serve --dir "$dir" --addr 127.0.0.1:0 --workers 2 >/dev/null &
+GAPSERVER_IO_FAULTS="append:3:enospc" "$GAPSERVER" serve --dir "$dir" --addr 127.0.0.1:0 --workers 2 >/dev/null &
 SERVER_PID=$!
 for _ in $(seq 1 300); do
     [[ -s "$dir/ADDR" ]] && break
@@ -300,10 +287,8 @@ for _ in $(seq 1 300); do
     sleep 0.05
 done
 ADDR="$(cat "$dir/ADDR")"
-for t in 30 50 70; do
-    fault_job_spec "enospc-$t" "$t" | "$GAPSERVER" submit --addr "$ADDR" >/dev/null \
-        || { echo "submit enospc-$t refused before the fault fired" >&2; exit 1; }
-done
+job_spec "enospc" 50 | "$GAPSERVER" submit --addr "$ADDR" >/dev/null \
+    || { echo "submit enospc refused before the fault fired" >&2; exit 1; }
 degraded=0
 for _ in $(seq 1 600); do
     if "$GAPSERVER" health --addr "$ADDR" | grep -q '"degraded":"'; then
