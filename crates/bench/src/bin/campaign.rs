@@ -22,6 +22,8 @@
 //! * `METAOPT_QUICK=1` — small Figure-1-only grid,
 //! * `METAOPT_BUDGET_SECS` — per-cell wall-clock timeout (default 30),
 //! * `METAOPT_CAMPAIGN_WORKERS` — worker threads (default 2),
+//! * `METAOPT_CAMPAIGN_THREADS_PER_CELL` — branch-and-bound threads for
+//!   each cell's solves (default 0: `METAOPT_THREADS` decides),
 //! * `METAOPT_CAMPAIGN_DEADLINE_SECS` — drain gracefully after this many
 //!   seconds, checkpointing in-flight sweeps (resume later with `resume`).
 

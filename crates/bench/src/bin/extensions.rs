@@ -58,13 +58,11 @@ fn main() {
     csv.row(["quantized".into(), f(quant.verified_gap / norm), f(quant_secs), format!("{} nodes", quant.nodes)]);
 
     // 2. Binary sweep (the §3.3 Z3-style strategy) at a fraction of the
-    //    budget per probe. The sweep honours `FinderConfig::budget` as a
-    //    cap on the whole run, so only the per-probe limits stay.
+    //    budget per probe. The sweep honours `milp.budget` as a cap on the
+    //    whole run, so only the per-probe limits stay.
     let t = Instant::now();
-    let probe_cfg = FinderConfig {
-        budget: Budget::unlimited(),
-        ..FinderConfig::budgeted((budget / 4.0).max(3.0))
-    };
+    let mut probe_cfg = FinderConfig::budgeted((budget / 4.0).max(3.0));
+    probe_cfg.milp.budget = Budget::unlimited();
     let sweep = sweep_max_gap(
         &inst,
         &spec,

@@ -53,7 +53,7 @@ pub enum JobRecord {
         client: String,
         /// Priority class, `0` = most urgent.
         priority: u8,
-        /// Per-job `FinderConfig::threads` cap (`0` = spec default).
+        /// Per-job `cfg.milp.threads` cap (`0` = spec default).
         threads: usize,
         /// The work itself.
         spec: Box<CellSpec>,

@@ -63,14 +63,15 @@ pub struct CampaignConfig {
     /// passes).
     pub deadline: Option<Instant>,
     /// Branch-and-bound worker threads granted to each cell's solves
-    /// (`FinderConfig::threads` override). `0` (the default) leaves the
-    /// cell spec's own configuration — and hence `METAOPT_THREADS` — in
-    /// charge. Total CPU appetite is `workers x threads_per_cell`.
+    /// (written into the cell's `cfg.milp.threads`). `0` (the default)
+    /// leaves the cell spec's own configuration — and hence
+    /// `METAOPT_THREADS` — in charge. Total CPU appetite is
+    /// `workers x threads_per_cell`.
     pub threads_per_cell: usize,
     /// Basis-factorization backend override for each cell's LP solves
-    /// (`FinderConfig::factor` override). `None` (the default) leaves the
-    /// cell spec's own configuration — and hence `METAOPT_FACTOR` — in
-    /// charge (sparse LU when unset).
+    /// (written into the cell's `cfg.milp.factor`). `None` (the default)
+    /// leaves the cell spec's own configuration — and hence
+    /// `METAOPT_FACTOR` — in charge (sparse LU when unset).
     pub factor_per_cell: Option<metaopt_core::FactorBackend>,
     /// Time source for deadlines, retry backoff, and drain checks. The
     /// default [`SystemClock`] reads the OS monotonic clock; tests inject
@@ -624,10 +625,10 @@ pub fn drive_cell(
         }
     };
     if threads_override > 0 {
-        cfg.threads = threads_override;
+        cfg.milp.threads = threads_override;
     }
-    if factor_override.is_some() {
-        cfg.factor = factor_override;
+    if let Some(f) = factor_override {
+        cfg.milp.factor = f;
     }
     cfg.milp.metrics = obs.metrics.clone();
     cfg.milp.tracer = obs.tracer.clone();
@@ -637,13 +638,23 @@ pub fn drive_cell(
         "campaign.drive_cell",
         vec![
             ("label", spec.label.clone()),
-            ("threads", cfg.threads.to_string()),
-            ("factor", cfg.milp_config().factor.name().to_string()),
+            ("threads", cfg.milp.threads.to_string()),
+            ("factor", cfg.milp.factor.name().to_string()),
         ],
     );
+    // A bad sweep range is the spec's fault, like a build error: the cell
+    // fails instead of the supervisor.
     let mut current = match resume {
         Some(s) => s,
-        None => spec.fresh_state()?,
+        None => match spec.fresh_state() {
+            Ok(s) => s,
+            Err(e) => {
+                return Ok(CellDriveEnd::Failed {
+                    kind: "fatal".into(),
+                    detail: format!("fresh state failed: {e}"),
+                })
+            }
+        },
     };
 
     loop {

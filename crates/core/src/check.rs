@@ -3,11 +3,10 @@
 //! Every single-shot program the finder assembles is walked by
 //! `metaopt-modelcheck` *before* branch-and-bound sees it: a silently
 //! flipped dual sign or a dangling complementarity pair produces a "gap"
-//! that is an encoding bug, not a heuristic failure. The gate is
-//! deny-by-default ([`ModelCheckMode::Deny`]): error-severity diagnostics
-//! abort the solve in debug builds, and are downgraded to a recorded
-//! [`SolverFault::EncodingSuspect`] in release builds so production runs
-//! stay anytime.
+//! that is an encoding bug, not a heuristic failure. Error-severity
+//! diagnostics abort the solve in debug builds, and are downgraded to a
+//! recorded [`SolverFault::EncodingSuspect`] in release builds so
+//! production runs stay anytime.
 
 use crate::constraints::ConstrainedSet;
 use crate::finder::{build_adversarial_model, AdversarialModel, FinderConfig, HeuristicSpec};
@@ -16,21 +15,6 @@ use metaopt_model::ModelStats;
 use metaopt_modelcheck::{check_model, CheckConfig, Report, TopologyContext};
 use metaopt_resilience::SolverFault;
 use metaopt_te::TeInstance;
-
-/// How the static model checker gates solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ModelCheckMode {
-    /// Run the checker; error diagnostics abort before the solve in debug
-    /// builds and are recorded as [`SolverFault::EncodingSuspect`] in
-    /// release builds. The default.
-    #[default]
-    Deny,
-    /// Run the checker; error diagnostics are always recorded as faults,
-    /// never abort.
-    Warn,
-    /// Skip the checker entirely.
-    Off,
-}
 
 /// The topology shape of `inst`, in the checker's encoder-independent form.
 pub fn topology_context(inst: &TeInstance) -> TopologyContext {
@@ -67,12 +51,11 @@ pub fn check_adversarial_model(inst: &TeInstance, am: &AdversarialModel) -> Repo
 /// Admission-time validation for externally submitted job specs: builds
 /// the full adversarial model once and runs the complete static analyzer
 /// over it, erroring on *any* error-severity diagnostic — in every build
-/// profile, regardless of [`ModelCheckMode`].
+/// profile.
 ///
-/// This deliberately differs from the finder's in-solve gate
-/// ([`crate::FinderConfig::modelcheck`]): mid-solve, a release build
-/// downgrades encoding suspicion to a recorded fault so long-running
-/// campaigns stay anytime; at a server's admission boundary
+/// This deliberately differs from the finder's in-solve gate: mid-solve,
+/// a release build downgrades encoding suspicion to a recorded fault so
+/// long-running campaigns stay anytime; at a server's admission boundary
 /// there is nothing to stay anytime *for* — the right move is to reject
 /// the job with a diagnostic before it ever occupies a worker. Returns the
 /// single-shot program's size statistics (the paper's Figure 6 axes) so
@@ -86,30 +69,26 @@ pub fn validate_adversarial_setup(
     let am = build_adversarial_model(inst, spec, constraints, cfg)?;
     let report = check_adversarial_model(inst, &am);
     if report.has_errors() {
-        let details: Vec<String> = report.errors().take(8).map(ToString::to_string).collect();
-        return Err(CoreError::ModelCheck(format!(
-            "{}\n{}",
-            report.summary(),
-            details.join("\n")
-        )));
+        return Err(model_check_error(&report));
     }
     Ok(am.stats())
 }
 
+/// The checker's summary plus the first few error diagnostics.
+fn model_check_error(report: &Report) -> CoreError {
+    let details: Vec<String> = report.errors().take(8).map(ToString::to_string).collect();
+    CoreError::ModelCheck(format!("{}\n{}", report.summary(), details.join("\n")))
+}
+
 /// Applies the gate policy to a report. Returns a fault to record in
-/// `GapResult::faults` (release/Warn path), `Err` to abort (debug Deny
-/// path), or `Ok(None)` when the model is acceptable.
-pub(crate) fn gate(report: &Report, mode: ModelCheckMode) -> CoreResult<Option<SolverFault>> {
-    if mode == ModelCheckMode::Off || !report.has_errors() {
+/// `GapResult::faults` (release builds), `Err` to abort (debug builds), or
+/// `Ok(None)` when the model is acceptable.
+pub(crate) fn gate(report: &Report) -> CoreResult<Option<SolverFault>> {
+    if !report.has_errors() {
         return Ok(None);
     }
-    if mode == ModelCheckMode::Deny && cfg!(debug_assertions) {
-        let details: Vec<String> = report.errors().take(8).map(ToString::to_string).collect();
-        return Err(CoreError::ModelCheck(format!(
-            "{}\n{}",
-            report.summary(),
-            details.join("\n")
-        )));
+    if cfg!(debug_assertions) {
+        return Err(model_check_error(report));
     }
     Ok(Some(SolverFault::EncodingSuspect(report.summary())))
 }
@@ -126,32 +105,20 @@ mod tests {
     }
 
     #[test]
-    fn off_mode_never_gates() {
-        assert_eq!(gate(&erring(), ModelCheckMode::Off).unwrap(), None);
-    }
-
-    #[test]
-    fn warn_mode_records_fault() {
-        let f = gate(&erring(), ModelCheckMode::Warn).unwrap().unwrap();
-        assert_eq!(f.kind(), "encoding_suspect");
-        assert!(!f.is_recoverable());
-    }
-
-    #[test]
-    fn deny_mode_policy_matches_build_profile() {
-        let out = gate(&erring(), ModelCheckMode::Deny);
+    fn gate_policy_matches_build_profile() {
+        let out = gate(&erring());
         if cfg!(debug_assertions) {
             assert!(matches!(out, Err(CoreError::ModelCheck(_))));
         } else {
-            assert!(matches!(out, Ok(Some(_))));
+            let f = out.unwrap().unwrap();
+            assert_eq!(f.kind(), "encoding_suspect");
+            assert!(!f.is_recoverable());
         }
     }
 
     #[test]
-    fn clean_report_passes_all_modes() {
-        for mode in [ModelCheckMode::Deny, ModelCheckMode::Warn, ModelCheckMode::Off] {
-            assert_eq!(gate(&Report::new(), mode).unwrap(), None);
-        }
+    fn clean_report_passes() {
+        assert_eq!(gate(&Report::new()).unwrap(), None);
     }
 
     #[test]

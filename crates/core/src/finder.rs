@@ -1,6 +1,6 @@
 //! The single-shot adversarial gap finder (Eq. 1, §3.1).
 
-use crate::check::{check_adversarial_model, gate, ModelCheckMode};
+use crate::check::{check_adversarial_model, gate};
 use crate::constraints::ConstrainedSet;
 use crate::encode_dp::encode_dp;
 use crate::encode_opt::encode_opt;
@@ -106,35 +106,18 @@ impl HeuristicSpec {
 pub struct FinderConfig {
     /// OPT encoding choice (default: paper-faithful KKT).
     pub opt_encoding: OptEncoding,
-    /// Branch-and-bound budget/stop configuration.
+    /// Branch-and-bound budget/stop configuration, thread count and
+    /// factorization backend. `milp.budget` is the whole run's anytime
+    /// budget: it bounds every search the run makes (the white-box
+    /// search, each sweep probe, the topology attack) and the black-box
+    /// fallback rung. Budgets hold *absolute* deadlines, so the clock
+    /// starts when the budget is created, not when the finder is called.
     pub milp: MilpConfig,
     /// Whether to run the candidate-evaluation incumbent callback (strongly
     /// recommended; it is how good solutions appear early).
     pub use_incumbent_callback: bool,
-    /// End-to-end anytime budget for the whole run (white-box search plus
-    /// any degraded fallbacks). Composed with `milp.time_limit` /
-    /// `milp.max_nodes` — the tightest limit wins. Budgets hold *absolute*
-    /// deadlines: the clock starts when the budget is created, not when
-    /// the finder is called.
-    pub budget: Budget,
     /// Seed for the black-box fallback rung (deterministic fallbacks).
     pub fallback_seed: u64,
-    /// Static model-checker gate run on every assembled program before the
-    /// solve (deny-by-default: error diagnostics abort in debug builds and
-    /// are recorded as [`SolverFault::EncodingSuspect`] faults in release).
-    pub modelcheck: ModelCheckMode,
-    /// Worker threads for the branch-and-bound searches this finder runs.
-    /// `0` (the default) defers to `milp.threads`, which itself defers to
-    /// the `METAOPT_THREADS` environment variable; a nonzero value here
-    /// overrides both. The engine choice stays with `milp.parallel`
-    /// (default [`metaopt_milp::ParallelMode::Auto`]: serial at one
-    /// thread, deterministic-parallel above).
-    pub threads: usize,
-    /// Basis-factorization backend override for every LP relaxation this
-    /// finder solves. `None` (the default) defers to `milp.factor`, which
-    /// itself resolves the `METAOPT_FACTOR` environment variable (sparse
-    /// LU when unset).
-    pub factor: Option<metaopt_milp::FactorBackend>,
 }
 
 impl Default for FinderConfig {
@@ -143,11 +126,7 @@ impl Default for FinderConfig {
             opt_encoding: OptEncoding::Kkt,
             milp: MilpConfig::default(),
             use_incumbent_callback: true,
-            budget: Budget::unlimited(),
             fallback_seed: 0,
-            modelcheck: ModelCheckMode::default(),
-            threads: 0,
-            factor: None,
         }
     }
 }
@@ -160,36 +139,18 @@ impl FinderConfig {
     pub fn budgeted(seconds: f64) -> Self {
         FinderConfig {
             milp: MilpConfig {
-                time_limit: Some(std::time::Duration::from_secs_f64(seconds)),
-                stall_window: Some(std::time::Duration::from_secs_f64(
-                    (seconds / 3.0).max(1.0),
-                )),
+                time_limit: Some(Duration::from_secs_f64(seconds)),
+                stall_window: Some(Duration::from_secs_f64((seconds / 3.0).max(1.0))),
+                budget: Budget::from_secs_f64(seconds),
                 ..MilpConfig::default()
             },
-            budget: Budget::from_secs_f64(seconds),
             ..Default::default()
         }
     }
 
-    /// The [`MilpConfig`] actually handed to branch-and-bound: `milp` with
-    /// the finder-level [`FinderConfig::threads`] override applied.
+    /// The [`MilpConfig`] handed to branch-and-bound: `milp` itself.
     pub fn milp_config(&self) -> MilpConfig {
-        let mut m = self.milp.clone();
-        if self.threads > 0 {
-            m.threads = self.threads;
-        }
-        if let Some(f) = self.factor {
-            m.factor = f;
-        }
-        m
-    }
-
-    /// [`FinderConfig::milp_config`] tightened by [`FinderConfig::budget`]:
-    /// what a whole-run search solves under.
-    pub(crate) fn budgeted_milp_config(&self) -> MilpConfig {
-        let mut m = self.milp_config();
-        m.budget = m.budget.min_with(self.budget);
-        m
+        self.milp.clone()
     }
 }
 
@@ -676,8 +637,8 @@ fn fault_of_lp_failure(e: &MilpError) -> SolverFault {
 ///    heuristic; that candidate is returned with no dual bound
 ///    ([`DegradationLevel::CertifiedIncumbentOnly`]).
 /// 3. **Black-box fallback**: no certified incumbent exists; a
-///    constraint-respecting hill climb spends a slice of the remaining
-///    [`FinderConfig::budget`] ([`DegradationLevel::BlackboxFallback`]).
+///    constraint-respecting hill climb spends a slice of what remains of
+///    `cfg.milp.budget` ([`DegradationLevel::BlackboxFallback`]).
 /// 4. **No solution**: every rung failed; the result is empty with
 ///    [`MilpStatus::NoSolution`] ([`DegradationLevel::NoSolution`]).
 ///
@@ -697,26 +658,20 @@ pub fn find_adversarial_gap(
 
     // Pre-solve static-analysis gate: refuse (debug) or record (release)
     // when the assembled encoding carries error-severity diagnostics.
-    let mut pre_faults: Vec<SolverFault> = Vec::new();
-    if cfg.modelcheck != ModelCheckMode::Off {
-        let report = check_adversarial_model(inst, &am);
-        if let Some(fault) = gate(&report, cfg.modelcheck)? {
-            pre_faults.push(fault);
-        }
-    }
+    let mut pre_faults: Vec<SolverFault> = gate(&check_adversarial_model(inst, &am))?
+        .into_iter()
+        .collect();
 
     let build_time = t0.elapsed();
     let stats = am.stats();
-
-    let milp_cfg = cfg.budgeted_milp_config();
 
     // an:allow(AN001): same reporting-only wall-clock as `t0` above.
     let solve_t = Instant::now();
     let mut cb = new_candidate_evaluator(inst, spec, constraints, &am);
     let attempt = if cfg.use_incumbent_callback {
-        solve_with_callback(&am.model, &milp_cfg, &mut cb)
+        solve_with_callback(&am.model, &cfg.milp, &mut cb)
     } else {
-        solve(&am.model, &milp_cfg)
+        solve(&am.model, &cfg.milp)
     };
 
     let (sol, degradation, mut faults) = match attempt {
@@ -734,6 +689,7 @@ pub fn find_adversarial_gap(
                 // budget (or a short fixed slice when unlimited) on the
                 // constraint-respecting black-box climb.
                 let bb = cfg
+                    .milp
                     .budget
                     .fraction_of_remaining(0.5, Duration::from_millis(250));
                 cb.blackbox_fallback(bb, cfg.fallback_seed);

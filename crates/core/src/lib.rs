@@ -44,9 +44,7 @@ pub mod result;
 pub mod sweep;
 pub mod topology_attack;
 
-pub use check::{
-    check_adversarial_model, topology_context, validate_adversarial_setup, ModelCheckMode,
-};
+pub use check::{check_adversarial_model, topology_context, validate_adversarial_setup};
 pub use constraints::{ConstrainedSet, Distance, Goalpost, LinearDemandConstraint};
 pub use encode_pop::PopMode;
 pub use finder::{find_adversarial_gap, find_diverse_inputs, FinderConfig, HeuristicSpec, OptEncoding};
@@ -54,8 +52,8 @@ pub use result::GapResult;
 pub use metaopt_milp::FactorBackend;
 pub use metaopt_resilience::{Budget, DegradationLevel, FaultPlan, FaultSite, SolverFault};
 pub use sweep::{
-    find_gap_at_least, sweep_max_gap, sweep_tick, PendingProbe, SliceBudget, SweepResult,
-    SweepState, SweepTick, SweepWitness,
+    sweep_max_gap, sweep_tick, PendingProbe, SliceBudget, SweepResult, SweepState, SweepTick,
+    SweepWitness,
 };
 pub use topology_attack::{find_adversarial_topology, TopologyAttack, TopologyAttackResult};
 
@@ -70,9 +68,9 @@ pub enum CoreError {
     Te(String),
     /// Invalid configuration.
     Config(String),
-    /// The static model checker found error-severity diagnostics and the
-    /// gate is in deny mode (debug builds). The payload is the checker's
-    /// summary plus the first few diagnostics.
+    /// The static model checker found error-severity diagnostics (the
+    /// pre-solve gate in debug builds, or admission-time validation). The
+    /// payload is the checker's summary plus the first few diagnostics.
     ModelCheck(String),
 }
 

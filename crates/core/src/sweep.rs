@@ -10,22 +10,18 @@
 //! *vets the witness* by re-running the real algorithms — a probe only
 //! counts if the certified gap reaches the threshold.
 //!
-//! Two drivers share the probe:
-//!
-//! * [`sweep_max_gap`] — the one-call version (runs to completion),
-//! * [`sweep_tick`] over a [`SweepState`] — the *resumable* version: each
-//!   tick spends one [`SliceBudget`] of branch-and-bound work and returns
-//!   either the finished result or a checkpointable state (the in-flight
-//!   probe's frontier included). The campaign runner journals that state,
-//!   which is how a SIGKILLed campaign continues mid-branch-and-bound
-//!   instead of restarting.
+//! One driver runs the sweep: [`sweep_tick`] over a [`SweepState`]. Each
+//! tick spends at most one [`SliceBudget`] of branch-and-bound work and
+//! returns either the finished result or a checkpointable state (the
+//! in-flight probe's frontier included). The campaign runner journals that
+//! state, which is how a SIGKILLed campaign continues mid-branch-and-bound
+//! instead of restarting. [`sweep_max_gap`] is the one-call form: ticks
+//! over an unbounded slice, one probe each.
 
 use crate::constraints::ConstrainedSet;
 use crate::finder::{build_adversarial_model, FinderConfig, HeuristicSpec};
 use crate::{CoreError, CoreResult};
-use metaopt_milp::{
-    binary_sweep, solve_resumable, Checkpoint, MilpConfig, SweepMachine, SweepOutcome, CERT_TOL,
-};
+use metaopt_milp::{solve_resumable, Budget, Checkpoint, MilpConfig, SweepMachine, CERT_TOL};
 use metaopt_model::Sense;
 use metaopt_te::{opt::opt_max_flow, TeInstance};
 use std::time::Instant;
@@ -86,7 +82,7 @@ fn vet_witness(
 }
 
 /// Builds the probe model: the adversarial program plus `gap >= g`, gated
-/// by the static model checker when enabled.
+/// by the static model checker when `run_gate` (a fresh probe).
 fn build_probe_model(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -102,48 +98,21 @@ fn build_probe_model(
     am.model
         .constrain_named("sweep::gap_floor", gap_expr, Sense::Ge, g)?;
 
-    // Pre-solve static-analysis gate (debug Deny aborts here). A recorded
+    // Pre-solve static-analysis gate (debug builds abort here). A recorded
     // release-mode fault is dropped: every sweep witness is re-certified
     // against the real algorithms, so a suspect encoding can only cost
     // probes, never produce a false witness.
-    if run_gate && cfg.modelcheck != crate::check::ModelCheckMode::Off {
-        let report = crate::check::check_adversarial_model(inst, &am);
-        let _ = crate::check::gate(&report, cfg.modelcheck)?;
+    if run_gate {
+        crate::check::gate(&crate::check::check_adversarial_model(inst, &am))?;
     }
     Ok(am)
 }
 
-/// Probes whether any input achieves `gap >= g` within `probe_cfg`'s
-/// budget. Returns a vetted witness or `None` (which, under a timeout, is
-/// inconclusive — the sweep is a search strategy, not a proof).
-pub fn find_gap_at_least(
-    inst: &TeInstance,
-    spec: &HeuristicSpec,
-    constraints: &ConstrainedSet,
-    cfg: &FinderConfig,
-    g: f64,
-) -> CoreResult<Option<SweepWitness>> {
-    let am = build_probe_model(inst, spec, constraints, cfg, g, true)?;
-    let milp_cfg = MilpConfig {
-        target_objective: Some(g),
-        ..cfg.budgeted_milp_config()
-    };
-    // Reuse the finder's callback machinery through find_adversarial_gap's
-    // building blocks: a plain solve is enough here because the incumbent
-    // seeding happens through the callback; without it we still accept
-    // branch-and-bound leaves.
-    let sol = if cfg.use_incumbent_callback {
-        let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am);
-        metaopt_milp::solve_with_callback(&am.model, &milp_cfg, &mut cb)?
-    } else {
-        metaopt_milp::solve(&am.model, &milp_cfg)?
-    };
-    vet_witness(inst, spec, &am, &sol.values, g)
-}
-
 /// Binary-sweeps the largest certifiable gap in `[lo, hi]` to within
-/// `resolution`, spending `cfg.milp`'s budget per probe; every probe also
-/// stops when [`FinderConfig::budget`] runs out.
+/// `resolution`: [`sweep_tick`] over an unbounded slice, so each tick
+/// runs one probe to its end under `cfg.milp`'s limits (the per-probe
+/// node cap and `time_limit`, the stall window, and `milp.budget` for the
+/// whole sweep).
 pub fn sweep_max_gap(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -153,37 +122,14 @@ pub fn sweep_max_gap(
     hi: f64,
     resolution: f64,
 ) -> CoreResult<SweepResult> {
-    validate_range(lo, hi, resolution)?;
-    // The probe's typed errors pass through binary_sweep untouched, so a
-    // caller can still match on e.g. `CoreError::ModelCheck`.
-    let outcome = binary_sweep(lo, hi, resolution, |g| {
-        find_gap_at_least(inst, spec, constraints, cfg, g)
-    })?;
-    Ok(match outcome {
-        SweepOutcome::Found {
-            threshold,
-            witness,
-            probes,
-        } => SweepResult {
-            witness: Some(witness),
-            threshold: Some(threshold),
-            probes,
-        },
-        SweepOutcome::NotFound { probes } => SweepResult {
-            witness: None,
-            threshold: None,
-            probes,
-        },
-    })
-}
-
-fn validate_range(lo: f64, hi: f64, resolution: f64) -> CoreResult<()> {
-    if lo.is_nan() || hi.is_nan() || lo > hi || resolution.is_nan() || resolution <= 0.0 {
-        return Err(CoreError::Config(format!(
-            "bad sweep range [{lo}, {hi}] / resolution {resolution}"
-        )));
+    let mut state = SweepState::new(lo, hi, resolution)?;
+    let slice = SliceBudget::nodes(usize::MAX);
+    loop {
+        match sweep_tick(inst, spec, constraints, cfg, state, &slice)? {
+            SweepTick::Done(s) => return Ok(s.result()),
+            SweepTick::Paused(s) => state = s,
+        }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -245,7 +191,11 @@ pub struct SweepState {
 impl SweepState {
     /// A fresh sweep over `[lo, hi]` at `resolution`.
     pub fn new(lo: f64, hi: f64, resolution: f64) -> CoreResult<Self> {
-        validate_range(lo, hi, resolution)?;
+        if lo.is_nan() || hi.is_nan() || lo > hi || resolution.is_nan() || resolution <= 0.0 {
+            return Err(CoreError::Config(format!(
+                "bad sweep range [{lo}, {hi}] / resolution {resolution}"
+            )));
+        }
         Ok(SweepState {
             machine: SweepMachine::new(lo, hi, resolution),
             best_witness: None,
@@ -286,18 +236,20 @@ pub enum SweepTick {
 /// work.
 ///
 /// Each tick continues the pending probe's checkpointed frontier (or
-/// starts the bisection's next probe), runs until the slice's node window
-/// or deadline is exhausted, and either records the probe's verdict or
-/// suspends again. Given identical inputs, the sequence of ticks is
-/// deterministic — a run interrupted at any tick boundary and resumed
-/// from its checkpoint produces the same final [`SweepResult`] as an
-/// uninterrupted run (the property the campaign crash-recovery CI job
+/// starts the bisection's next probe) and either records the probe's
+/// verdict or suspends it again. Given identical inputs, the sequence of
+/// ticks is deterministic — a run interrupted at any tick boundary and
+/// resumed from its checkpoint produces the same final [`SweepResult`] as
+/// an uninterrupted run (the property the campaign crash-recovery CI job
 /// asserts).
 ///
-/// `cfg.milp.max_nodes` acts as the *per-probe* node cap: a probe still
-/// inconclusive after that many nodes is recorded as "no witness at this
-/// threshold", mirroring the fixed-timeout semantics of the one-shot
-/// sweep.
+/// A probe is suspended only when the *slice* ended its search — the
+/// node window closed below the per-probe node cap, or the slice's
+/// deadline passed — and the tick made progress. Every other stop with an
+/// open frontier is the §3.3 fixed timeout and records "no witness at
+/// this threshold": the per-probe node cap (`cfg.milp.max_nodes`, or
+/// `cfg.milp.budget`'s node allowance when tighter), `cfg.milp.time_limit`,
+/// the stall window, and `cfg.milp.budget`'s deadline.
 pub fn sweep_tick(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -317,7 +269,10 @@ pub fn sweep_tick(
     let fresh_probe = resume.is_none();
     let am = build_probe_model(inst, spec, constraints, cfg, g, fresh_probe)?;
 
-    let probe_cap = cfg.milp.max_nodes;
+    let probe_cap = cfg
+        .milp
+        .max_nodes
+        .min(cfg.milp.budget.max_nodes().unwrap_or(usize::MAX));
     let start_nodes = resume.as_ref().map_or(0, Checkpoint::nodes_processed);
     let window_end = start_nodes
         .saturating_add(slice.max_nodes.max(1))
@@ -325,10 +280,10 @@ pub fn sweep_tick(
     let mut milp_cfg = MilpConfig {
         target_objective: Some(g),
         max_nodes: window_end,
-        ..cfg.budgeted_milp_config()
+        ..cfg.milp.clone()
     };
     if let Some(dl) = slice.deadline {
-        milp_cfg.budget = milp_cfg.budget.min_with(metaopt_milp::Budget::until(dl));
+        milp_cfg.budget = milp_cfg.budget.min_with(Budget::until(dl));
     }
 
     let mut cb = crate::finder::new_candidate_evaluator(inst, spec, constraints, &am);
@@ -348,18 +303,19 @@ pub fn sweep_tick(
         state.machine.record(g, true);
         return Ok(tick_outcome(state));
     }
+    let slice_ended = (window_end < probe_cap && sol.nodes >= window_end)
+        || slice.deadline.is_some_and(|dl| Budget::until(dl).expired());
     match checkpoint {
-        // Open frontier, per-probe cap not yet exhausted, and the slice
-        // made forward progress: suspend mid-probe. (The progress guard
-        // prevents a livelock when an expired outer budget stops the
-        // search before a single node runs.)
-        Some(cp) if sol.nodes < probe_cap && sol.nodes > start_nodes => {
+        // Open frontier cut off by the slice, after forward progress:
+        // suspend mid-probe. (The progress guard prevents a livelock when
+        // a deadline stops the search before a single node runs.)
+        Some(cp) if slice_ended && sol.nodes > start_nodes => {
             state.pending = Some(PendingProbe { g, checkpoint: cp });
             Ok(SweepTick::Paused(state))
         }
-        // Cap exhausted (inconclusive — counts as "not found", the sweep
-        // is a search strategy, not a proof) or the tree is exhausted /
-        // infeasible at this threshold.
+        // A fixed-timeout stop (inconclusive — counts as "not found", the
+        // sweep is a search strategy, not a proof) or the tree is
+        // exhausted / infeasible at this threshold.
         _ => {
             state.machine.record(g, false);
             Ok(tick_outcome(state))
@@ -392,38 +348,6 @@ mod tests {
     fn fig1() -> TeInstance {
         let (t, [n1, n2, n3]) = figure1_triangle(100.0);
         TeInstance::with_pairs(t, vec![(n1, n3), (n1, n2), (n2, n3)], 2).unwrap()
-    }
-
-    #[test]
-    fn probe_accepts_achievable_threshold() {
-        let inst = fig1();
-        let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
-        let w = find_gap_at_least(
-            &inst,
-            &spec,
-            &ConstrainedSet::unconstrained(),
-            &FinderConfig::budgeted(10.0),
-            30.0,
-        )
-        .unwrap();
-        let w = w.expect("gap 30 is achievable (max is 50)");
-        assert!(w.verified_gap >= 30.0 - CERT_TOL);
-    }
-
-    #[test]
-    fn probe_rejects_impossible_threshold() {
-        let inst = fig1();
-        let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
-        // The provable maximum is 50; 80 must be infeasible.
-        let w = find_gap_at_least(
-            &inst,
-            &spec,
-            &ConstrainedSet::unconstrained(),
-            &FinderConfig::budgeted(10.0),
-            80.0,
-        )
-        .unwrap();
-        assert!(w.is_none());
     }
 
     #[test]
@@ -504,8 +428,8 @@ mod tests {
         assert!(ticks > 1, "slices of 7 nodes must suspend at least once");
     }
 
-    /// Both sweep drivers compose `FinderConfig::budget` into every
-    /// probe, as the finder does: under an expired budget no probe
+    /// `cfg.milp.budget` bounds every probe of the sweep, one-call and
+    /// ticked, as it bounds the finder: under an expired budget no probe
     /// processes a node.
     #[test]
     fn expired_finder_budget_stops_every_probe() {
@@ -513,10 +437,8 @@ mod tests {
         let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
         let cs = ConstrainedSet::unconstrained();
         let metrics = metaopt_milp::MilpMetrics::register(&metaopt_obs::Registry::new());
-        let mut cfg = FinderConfig {
-            budget: metaopt_milp::Budget::from_secs_f64(0.0),
-            ..FinderConfig::default()
-        };
+        let mut cfg = FinderConfig::default();
+        cfg.milp.budget = Budget::from_secs_f64(0.0);
         cfg.milp.metrics = metrics.clone();
         let r = sweep_max_gap(&inst, &spec, &cs, &cfg, 0.0, 100.0, 2.0).unwrap();
         assert_eq!(metrics.nodes.get(), 0, "{} probes", r.probes);
@@ -531,5 +453,35 @@ mod tests {
         };
         assert_eq!(state.nodes, 0);
         assert_eq!(metrics.nodes.get(), 0);
+    }
+
+    /// A probe that `cfg.milp.budget`'s node allowance stops below the
+    /// slice is the probe's fixed timeout: it is recorded in the tick
+    /// that ran it, never suspended for a tick that cannot make progress.
+    #[test]
+    fn budget_node_allowance_records_the_probe_in_its_tick() {
+        let inst = fig1();
+        let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
+        let cs = ConstrainedSet::unconstrained();
+        let mut cfg = FinderConfig::default();
+        cfg.milp.budget = Budget::unlimited().with_max_nodes(3);
+        let slice = SliceBudget::nodes(64);
+        let mut state = SweepState::new(0.0, 100.0, 2.0).unwrap();
+        let mut capped = 0usize;
+        loop {
+            let (probes, nodes) = (state.machine.probes, state.nodes);
+            let tick = sweep_tick(&inst, &spec, &cs, &cfg, state, &slice).unwrap();
+            let (SweepTick::Done(next) | SweepTick::Paused(next)) = tick;
+            assert!(next.pending.is_none(), "probe {} was suspended", probes + 1);
+            assert_eq!(next.machine.probes, probes + 1);
+            if next.nodes - nodes == 3 {
+                capped += 1;
+            }
+            if next.is_done() {
+                assert!(capped > 0, "no probe ran into the allowance");
+                break;
+            }
+            state = next;
+        }
     }
 }

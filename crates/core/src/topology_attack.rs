@@ -191,8 +191,7 @@ impl IncumbentCallback for CapacityEvaluator<'_> {
 
 /// Finds the capacity degradation (within `attack`'s limits) that maximizes
 /// `OPT − Heuristic` for a *fixed* demand matrix. The search runs under
-/// `cfg.milp` with the finder's overrides applied, tightened by
-/// [`FinderConfig::budget`], as [`crate::find_adversarial_gap`] does.
+/// `cfg.milp`, budget included, as [`crate::find_adversarial_gap`] does.
 pub fn find_adversarial_topology(
     inst: &TeInstance,
     spec: &HeuristicSpec,
@@ -286,7 +285,7 @@ pub fn find_adversarial_topology(
         evals_per_call: CALLBACK_EVALS_PER_NODE,
         calls: 0,
     };
-    let sol = solve_with_callback(&model, &cfg.budgeted_milp_config(), &mut cb)?;
+    let sol = solve_with_callback(&model, &cfg.milp, &mut cb)?;
 
     let capacities: Vec<f64> = if sol.values.is_empty() {
         cap_hi.clone()
@@ -416,16 +415,14 @@ mod tests {
         ));
     }
 
-    /// `FinderConfig::budget` bounds the attack's search as it bounds the
+    /// `cfg.milp.budget` bounds the attack's search as it bounds the
     /// demand finder's: an already-expired budget processes no node.
     #[test]
     fn expired_budget_processes_no_node() {
         let inst = fig1();
         let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
-        let cfg = FinderConfig {
-            budget: metaopt_resilience::Budget::from_secs_f64(0.0),
-            ..FinderConfig::default()
-        };
+        let mut cfg = FinderConfig::default();
+        cfg.milp.budget = metaopt_resilience::Budget::from_secs_f64(0.0);
         let attack = TopologyAttack::per_edge(0.3);
         let r =
             find_adversarial_topology(&inst, &spec, &[50.0, 100.0, 100.0], &attack, &cfg).unwrap();

@@ -182,11 +182,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn check(name: &str) {
     let golden = GOLDEN.iter().find(|g| g.name == name).unwrap();
     let (inst, spec, constraints, max_nodes) = case(name);
-    let mut cfg = FinderConfig {
-        threads: 1,
-        factor: Some(FactorBackend::SparseLU),
-        ..FinderConfig::default()
-    };
+    let mut cfg = FinderConfig::default();
+    cfg.milp.threads = 1;
+    cfg.milp.factor = FactorBackend::SparseLU;
     if max_nodes > 0 {
         cfg.milp.max_nodes = max_nodes;
     }

@@ -4,12 +4,12 @@
 //! or primal-only OPT), seeds one specific corruption through the
 //! `metaopt_model::mutate` hooks, and asserts the checker flags it with the
 //! documented code. The clean-encoding tests pin the zero-false-positive
-//! guarantee the deny-by-default gate relies on.
+//! guarantee the pre-solve gate relies on.
 
 use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{
     check_adversarial_model, find_adversarial_gap, ConstrainedSet, FinderConfig, HeuristicSpec,
-    ModelCheckMode, OptEncoding, PopMode,
+    OptEncoding, PopMode,
 };
 use metaopt_model::{LinExpr, Model, Sense, VarKind, VarRef};
 use metaopt_modelcheck::{Report, Severity};
@@ -259,9 +259,8 @@ fn broken_demand_row_is_mc301() {
 fn gate_runs_inside_finder_and_clean_models_pass() {
     let inst = fig1();
     let cfg = FinderConfig::budgeted(10.0);
-    assert_eq!(cfg.modelcheck, ModelCheckMode::Deny, "deny is the default");
     let r = find_adversarial_gap(&inst, &dp_spec(), &ConstrainedSet::unconstrained(), &cfg)
-        .expect("clean encoding must pass the deny gate");
+        .expect("clean encoding must pass the gate");
     assert!(r.verified_gap.is_finite());
     // No encoding-suspect faults on a clean model, in any build profile.
     assert!(

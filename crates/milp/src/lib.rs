@@ -41,7 +41,7 @@ pub use solver::{
     solve, solve_resumable, solve_with_callback, Checkpoint, CheckpointParseError,
     IncumbentCallback, LpSolveStats, MilpConfig, MilpSolution, MilpStatus,
 };
-pub use sweep::{binary_sweep, SweepMachine, SweepOutcome};
+pub use sweep::SweepMachine;
 
 pub use metaopt_lp::FactorBackend;
 

@@ -37,7 +37,7 @@
 use crate::solver::{
     canon_cmp, most_fractional_binary, most_violated_compl, propose_contained, to_min_space,
     Checkpoint, FrontierNode, IncumbentCallback, LpSolveStats, MilpConfig, MilpSolution,
-    MilpStatus, TrajAxis, MAX_CALLBACK_PANICS, REL_GAP,
+    MilpStatus, TrajAxis, MAX_CALLBACK_PANICS, REL_GAP, STALL_IMPROVEMENT,
 };
 use crate::{MilpError, MilpResult};
 use metaopt_lp::{Basis, LpError, Simplex, SolveStatus, VarId};
@@ -478,7 +478,7 @@ impl<'a> Det<'a> {
             } else {
                 f64::INFINITY
             };
-            if improvement >= self.cfg.stall_improvement {
+            if improvement >= STALL_IMPROVEMENT {
                 // an:allow(AN001): stall-rule wall clock, as at the engine
                 // start above.
                 self.last_improvement = Instant::now();

@@ -23,6 +23,11 @@ const INT_TOL: f64 = 1e-6;
 /// `min(λ, s) > COMPL_TOL · (1 + max(λ, s))`.
 const COMPL_TOL: f64 = 1e-6;
 
+/// §3.3 stall rule: an incumbent improvement restarts the
+/// [`MilpConfig::stall_window`] only when it is at least this large,
+/// relative to the last one that did (paper: 0.5%).
+pub(crate) const STALL_IMPROVEMENT: f64 = 0.005;
+
 /// Tunable branch-and-bound parameters (defaults follow the paper's §3.3
 /// methodology where applicable).
 #[derive(Debug, Clone)]
@@ -30,10 +35,8 @@ pub struct MilpConfig {
     /// Hard wall-clock budget.
     pub time_limit: Option<Duration>,
     /// §3.3 stall rule: stop when no relative improvement of at least
-    /// [`MilpConfig::stall_improvement`] happened within this window.
+    /// 0.5% happened within this window.
     pub stall_window: Option<Duration>,
-    /// Relative improvement threshold for the stall rule (paper: 0.5%).
-    pub stall_improvement: f64,
     /// Node budget.
     pub max_nodes: usize,
     /// Stop as soon as an incumbent at least this good exists (model space:
@@ -73,7 +76,6 @@ impl Default for MilpConfig {
         MilpConfig {
             time_limit: None,
             stall_window: None,
-            stall_improvement: 0.005,
             max_nodes: usize::MAX,
             target_objective: None,
             budget: Budget::unlimited(),
@@ -849,7 +851,7 @@ impl<'a> Search<'a> {
             } else {
                 f64::INFINITY
             };
-            if improvement >= self.cfg.stall_improvement {
+            if improvement >= STALL_IMPROVEMENT {
                 // an:allow(AN001): stall-rule wall clock, as at `new`.
                 self.last_improvement = Instant::now();
                 self.last_stall_value = min_obj;

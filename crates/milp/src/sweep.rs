@@ -3,34 +3,11 @@
 //! For solvers that expose no incremental progress (the paper's Z3 path),
 //! the method "iteratively asks for any input with a gap that is at least as
 //! large as a specified value and binary-sweeps the value with a fixed
-//! timeout". This module implements that strategy generically, twice over:
-//!
-//! * [`binary_sweep`] — the closure-driven loop: the caller supplies a
-//!   probe that tries to find a witness with value ≥ g,
-//! * [`SweepMachine`] — the same bisection logic as an *explicit state
-//!   machine*, for callers that must suspend between probes (the campaign
-//!   runner checkpoints the machine into its journal and resumes it after
-//!   a crash).
-
-/// Result of a [`binary_sweep`].
-#[derive(Debug, Clone)]
-pub enum SweepOutcome<W> {
-    /// The largest threshold for which a witness was found, the witness, and
-    /// the number of probes spent.
-    Found {
-        /// Highest threshold with a witness.
-        threshold: f64,
-        /// The witness returned by the probe at `threshold`.
-        witness: W,
-        /// Number of probe invocations.
-        probes: usize,
-    },
-    /// No threshold in `[lo, hi]` produced a witness.
-    NotFound {
-        /// Number of probe invocations.
-        probes: usize,
-    },
-}
+//! timeout". This module implements the bisection generically, as an
+//! *explicit state machine* ([`SweepMachine`]) so callers can suspend
+//! between probes: `core::sweep_tick` drives it one probe at a time, and
+//! the campaign runner checkpoints it into its journal and resumes it
+//! after a crash.
 
 /// The §3.3 bisection as an explicit, suspendable state machine.
 ///
@@ -62,7 +39,7 @@ impl SweepMachine {
     ///
     /// # Panics
     /// If `lo > hi`, the bounds are NaN, or `resolution` is not positive
-    /// (callers validate ranges; see `core::sweep_max_gap`).
+    /// (callers validate ranges; see `core::SweepState::new`).
     pub fn new(lo: f64, hi: f64, resolution: f64) -> Self {
         assert!(lo <= hi && resolution > 0.0, "bad sweep range");
         SweepMachine {
@@ -119,112 +96,48 @@ impl SweepMachine {
     }
 }
 
-/// Binary-searches the largest `g ∈ [lo, hi]` for which `probe(g)` returns a
-/// witness, to within absolute resolution `resolution`.
-///
-/// `probe` is typically "solve the feasibility problem `gap >= g` under a
-/// fixed time budget"; a `None` result is treated as *no witness at this
-/// threshold* (which, under a timeout, is a heuristic answer — the sweep is
-/// a search strategy, not a proof, exactly as in the paper).
-///
-/// Generic over the probe's error type so domain layers keep their typed
-/// errors: a `core` probe failing its model-check gate surfaces as
-/// `CoreError::ModelCheck`, not a stringified wrapper.
-pub fn binary_sweep<W, E>(
-    lo: f64,
-    hi: f64,
-    resolution: f64,
-    mut probe: impl FnMut(f64) -> Result<Option<W>, E>,
-) -> Result<SweepOutcome<W>, E> {
-    let mut machine = SweepMachine::new(lo, hi, resolution);
-    let mut witness: Option<W> = None;
-    while let Some(g) = machine.next_threshold() {
-        match probe(g)? {
-            Some(w) => {
-                witness = Some(w);
-                machine.record(g, true);
-            }
-            None => machine.record(g, false),
-        }
-    }
-    // The last successful probe is always the one at `best` (successes only
-    // ever raise the search's lower bound).
-    Ok(match (machine.best, witness) {
-        (Some(threshold), Some(witness)) => SweepOutcome::Found {
-            threshold,
-            witness,
-            probes: machine.probes,
-        },
-        _ => SweepOutcome::NotFound {
-            probes: machine.probes,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn sweep_converges_to_boundary() {
-        // Witness exists iff g <= 7.3.
-        let out = binary_sweep(0.0, 10.0, 1e-3, |g| {
-            Ok::<_, ()>(if g <= 7.3 { Some(g) } else { None })
-        })
-        .unwrap();
-        match out {
-            SweepOutcome::Found { threshold, .. } => {
-                assert!((threshold - 7.3).abs() < 1e-2, "threshold {threshold}");
-            }
-            SweepOutcome::NotFound { .. } => panic!("should find"),
-        }
-    }
-
-    #[test]
-    fn sweep_reports_not_found() {
-        let out = binary_sweep(1.0, 2.0, 1e-3, |_g| Ok::<_, ()>(None::<f64>)).unwrap();
-        assert!(matches!(out, SweepOutcome::NotFound { probes: 1 }));
-    }
-
-    #[test]
-    fn sweep_handles_everywhere_feasible() {
-        let out = binary_sweep(0.0, 4.0, 1e-3, |g| Ok::<_, ()>(Some(g))).unwrap();
-        match out {
-            SweepOutcome::Found { threshold, .. } => {
-                assert!((threshold - 4.0).abs() < 1e-2);
-            }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn sweep_propagates_typed_errors() {
-        #[derive(Debug, PartialEq)]
-        struct Boom(u32);
-        let err = binary_sweep(0.0, 1.0, 1e-3, |_g| Err::<Option<f64>, _>(Boom(7)));
-        assert_eq!(err.unwrap_err(), Boom(7));
-    }
-
-    #[test]
-    fn machine_matches_closure_driver() {
-        // Drive the machine by hand and check it visits exactly the same
-        // thresholds the closure-driven sweep does.
-        let mut visited_machine = Vec::new();
-        let mut m = SweepMachine::new(0.0, 10.0, 1e-2);
+    /// Drives `m` to convergence, recording `found(g)` for each probe, and
+    /// returns the thresholds visited.
+    fn drive(m: &mut SweepMachine, found: impl Fn(f64) -> bool) -> Vec<f64> {
+        let mut visited = Vec::new();
         while let Some(g) = m.next_threshold() {
-            visited_machine.push(g);
-            m.record(g, g <= 7.3);
+            visited.push(g);
+            m.record(g, found(g));
         }
-        let mut visited_closure = Vec::new();
-        let _ = binary_sweep(0.0, 10.0, 1e-2, |g| {
-            visited_closure.push(g);
-            Ok::<_, ()>(if g <= 7.3 { Some(()) } else { None })
-        });
-        assert_eq!(visited_machine, visited_closure);
+        visited
+    }
+
+    #[test]
+    fn machine_converges_to_boundary() {
+        // A witness exists iff g <= 7.3.
+        let mut m = SweepMachine::new(0.0, 10.0, 1e-3);
+        let visited = drive(&mut m, |g| g <= 7.3);
         assert!(m.is_done());
-        assert_eq!(m.probes, visited_machine.len());
-        let best = m.best.unwrap();
-        assert!((best - 7.3).abs() < 1e-2, "best {best}");
+        assert_eq!(m.probes, visited.len());
+        let best = m.best.expect("should find");
+        assert!(best <= 7.3 && (best - 7.3).abs() < 1e-2, "best {best}");
+    }
+
+    #[test]
+    fn machine_reports_nothing_found_after_one_probe() {
+        let mut m = SweepMachine::new(1.0, 2.0, 1e-3);
+        let visited = drive(&mut m, |_| false);
+        assert_eq!(visited, vec![1.0]);
+        assert!(m.failed_at_lo && m.is_done());
+        assert_eq!(m.best, None);
+        assert_eq!(m.probes, 1);
+    }
+
+    #[test]
+    fn machine_handles_everywhere_feasible() {
+        let mut m = SweepMachine::new(0.0, 4.0, 1e-3);
+        drive(&mut m, |_| true);
+        let best = m.best.expect("should find");
+        assert!((best - 4.0).abs() < 1e-2, "best {best}");
     }
 
     #[test]

@@ -90,7 +90,6 @@ fn stall_window_triggers() {
     let (m, total) = big_knapsack(30);
     let cfg = MilpConfig {
         stall_window: Some(Duration::from_millis(250)),
-        stall_improvement: 0.005,
         time_limit: Some(Duration::from_secs(30)), // backstop, should not hit
         ..Default::default()
     };

@@ -26,7 +26,6 @@
 
 pub mod bigm;
 pub mod compile;
-pub mod display;
 pub mod expr;
 pub mod kkt;
 pub mod model;
@@ -34,7 +33,6 @@ pub mod mutate;
 pub mod sortnet;
 
 pub use compile::{CompiledModel, ModelStats};
-pub use display::to_lp_format;
 pub use expr::LinExpr;
 pub use kkt::{InnerObjective, InnerProblem};
 pub use model::{Complementarity, Constraint, Model, ObjSense, Sense, VarKind, VarRef};

@@ -588,10 +588,10 @@ impl RetryPolicy {
 // ---------------------------------------------------------------------
 
 /// Failures of the *service* layer wrapped around the solver stack — job
-/// admission, queueing, and graceful drain — as opposed to the
+/// admission, queueing, and the job journal — as opposed to the
 /// [`SolverFault`]s of the solves themselves. The gap-finding job server
-/// surfaces these in job status responses and maps them onto HTTP
-/// semantics via [`ServiceFault::is_client_error`].
+/// answers refused requests with their [`ServiceFault::kind`] and
+/// [`ServiceFault::detail`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceFault {
     /// The job spec failed validation at admission (malformed fields, an
@@ -604,11 +604,10 @@ pub enum ServiceFault {
     /// The bounded admission queue was at capacity and shed the job
     /// instead of growing without bound. The job was never enqueued.
     QueueSaturated(String),
-    /// A graceful drain could not checkpoint an in-flight cell within its
-    /// allowance; the cell resumes from its previous durable checkpoint.
-    DrainTimeout(String),
-    /// The job was cancelled by a client after admission.
-    Cancelled(String),
+    /// Appending a record the request needed to the job journal failed.
+    /// The server is degraded to read-only: it admits nothing more but
+    /// keeps answering status, metrics and results.
+    JournalFailure(String),
 }
 
 impl ServiceFault {
@@ -618,8 +617,7 @@ impl ServiceFault {
             ServiceFault::AdmissionRejected(_) => "admission_rejected",
             ServiceFault::QuotaExhausted(_) => "quota_exhausted",
             ServiceFault::QueueSaturated(_) => "queue_saturated",
-            ServiceFault::DrainTimeout(_) => "drain_timeout",
-            ServiceFault::Cancelled(_) => "cancelled",
+            ServiceFault::JournalFailure(_) => "journal_failure",
         }
     }
 
@@ -629,37 +627,8 @@ impl ServiceFault {
             ServiceFault::AdmissionRejected(s)
             | ServiceFault::QuotaExhausted(s)
             | ServiceFault::QueueSaturated(s)
-            | ServiceFault::DrainTimeout(s)
-            | ServiceFault::Cancelled(s) => s,
+            | ServiceFault::JournalFailure(s) => s,
         }
-    }
-
-    /// Inverse of [`ServiceFault::kind`]. Returns `None` for unknown kinds
-    /// (a journal or status blob written by a future version).
-    pub fn from_kind(kind: &str, detail: &str) -> Option<ServiceFault> {
-        let d = detail.to_string();
-        Some(match kind {
-            "admission_rejected" => ServiceFault::AdmissionRejected(d),
-            "quota_exhausted" => ServiceFault::QuotaExhausted(d),
-            "queue_saturated" => ServiceFault::QueueSaturated(d),
-            "drain_timeout" => ServiceFault::DrainTimeout(d),
-            "cancelled" => ServiceFault::Cancelled(d),
-            _ => return None,
-        })
-    }
-
-    /// Whether the fault is the client's doing (HTTP 4xx) rather than a
-    /// server-side condition (5xx). Quota and queue shedding are 429-class
-    /// client errors: the request was well-formed but must be retried
-    /// later.
-    pub fn is_client_error(&self) -> bool {
-        matches!(
-            self,
-            ServiceFault::AdmissionRejected(_)
-                | ServiceFault::QuotaExhausted(_)
-                | ServiceFault::QueueSaturated(_)
-                | ServiceFault::Cancelled(_)
-        )
     }
 }
 
@@ -669,8 +638,7 @@ impl std::fmt::Display for ServiceFault {
             ServiceFault::AdmissionRejected(s) => write!(f, "admission rejected: {s}"),
             ServiceFault::QuotaExhausted(s) => write!(f, "quota exhausted: {s}"),
             ServiceFault::QueueSaturated(s) => write!(f, "queue saturated: {s}"),
-            ServiceFault::DrainTimeout(s) => write!(f, "drain timeout: {s}"),
-            ServiceFault::Cancelled(s) => write!(f, "cancelled: {s}"),
+            ServiceFault::JournalFailure(s) => write!(f, "journal failure: {s}"),
         }
     }
 }
@@ -852,22 +820,26 @@ mod tests {
     }
 
     #[test]
-    fn service_fault_round_trips_and_classifies() {
+    fn service_fault_kinds_are_stable() {
         let faults = [
             ServiceFault::AdmissionRejected("bad topology `tokamak`".into()),
             ServiceFault::QuotaExhausted("client alice: retry in 2s".into()),
             ServiceFault::QueueSaturated("depth 64/64".into()),
-            ServiceFault::DrainTimeout("cell fig1-dp-50".into()),
-            ServiceFault::Cancelled("by client".into()),
+            ServiceFault::JournalFailure("disk full".into()),
         ];
+        let kinds = faults.iter().map(ServiceFault::kind).collect::<Vec<_>>();
+        assert_eq!(
+            kinds,
+            [
+                "admission_rejected",
+                "quota_exhausted",
+                "queue_saturated",
+                "journal_failure"
+            ]
+        );
         for f in faults {
-            let back = ServiceFault::from_kind(f.kind(), f.detail()).unwrap();
-            assert_eq!(back, f);
-            let _ = format!("{f}");
+            assert!(format!("{f}").ends_with(f.detail()), "{f}");
         }
-        assert!(ServiceFault::from_kind("martian", "x").is_none());
-        assert!(ServiceFault::QueueSaturated(String::new()).is_client_error());
-        assert!(!ServiceFault::DrainTimeout(String::new()).is_client_error());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::http::{
 use crate::json::Json;
 use crate::server::{CancelError, GapServer, SubmitError};
 use crate::spec::parse_submit;
+use metaopt_resilience::ServiceFault;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -322,7 +323,8 @@ fn delete_job(server: &Arc<GapServer>, stream: &mut TcpStream, id: u64) -> io::R
             None,
         ),
         Err(CancelError::Fatal(detail)) => {
-            write_error(stream, 500, "journal_failure", &detail, None)
+            let fault = ServiceFault::JournalFailure(detail);
+            write_error(stream, 500, fault.kind(), fault.detail(), None)
         }
     }
 }

@@ -139,7 +139,7 @@ pub enum SubmitError {
     QueueFull(usize),
     /// The spec failed validation / the modelcheck gate. (`422`)
     Rejected(String),
-    /// Journal I/O failed; the server is now fatally stopped. (`500`)
+    /// Journal I/O failed; the server is now degraded to read-only. (`500`)
     Fatal(String),
 }
 
@@ -157,7 +157,7 @@ impl SubmitError {
                 ServiceFault::QueueSaturated(format!("admission queue at capacity {depth}"))
             }
             SubmitError::Rejected(d) => ServiceFault::AdmissionRejected(d.clone()),
-            SubmitError::Fatal(d) => ServiceFault::DrainTimeout(format!("journal failure: {d}")),
+            SubmitError::Fatal(d) => ServiceFault::JournalFailure(d.clone()),
         }
     }
 }
@@ -169,7 +169,7 @@ pub enum CancelError {
     NotFound,
     /// The job is already terminal; there is nothing to cancel.
     AlreadyTerminal(&'static str),
-    /// Journal I/O failed; the server is now fatally stopped.
+    /// Journal I/O failed; the server is now degraded to read-only.
     Fatal(String),
 }
 
@@ -306,7 +306,6 @@ struct Inner {
     next_id: u64,
     draining: bool,
     stopped: bool,
-    fatal: Option<String>,
     /// `Some(why)` once a journal append/fsync has failed: the server is
     /// read-only — no admissions, no new claims — but keeps answering
     /// status/metrics/results so operators can see what happened and
@@ -436,7 +435,6 @@ impl GapServer {
                 next_id,
                 draining: false,
                 stopped: false,
-                fatal: None,
                 degraded: None,
                 quotas: QuotaBook::new(cfg.quota_burst, cfg.quota_per_sec),
                 acceptors: Vec::new(),
@@ -460,7 +458,8 @@ impl GapServer {
         &self.metrics
     }
 
-    /// Whether the server has fully stopped (drain complete or fatal).
+    /// Whether the server has fully stopped (drain complete). A journal
+    /// failure does not stop it: see [`GapServer::degraded_reason`].
     pub fn is_stopped(&self) -> bool {
         self.lock().stopped
     }
@@ -721,13 +720,6 @@ impl GapServer {
             (
                 "degraded",
                 inner.degraded.clone().map_or(Json::Null, Json::Str),
-            ),
-            (
-                "fatal",
-                inner
-                    .fatal
-                    .clone()
-                    .map_or(Json::Null, Json::Str),
             ),
         ])
     }

@@ -17,7 +17,7 @@ use metaopt_resilience::ServiceFault;
 /// let one client submit a job that monopolizes memory or the pool.
 #[derive(Debug, Clone)]
 pub struct AdmissionLimits {
-    /// Maximum `FinderConfig::threads` a job may request.
+    /// Maximum `cfg.milp.threads` a job may request.
     pub max_threads: usize,
     /// Maximum branch-and-bound nodes per probe.
     pub max_probe_cap_nodes: usize,

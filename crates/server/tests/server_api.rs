@@ -1,6 +1,7 @@
 //! End-to-end API tests: a real `GapServer` behind a real TCP listener,
 //! exercised through the std-only HTTP client.
 
+use metaopt_campaign::{FaultyDisk, IoFaultKind, IoFaultPlan, IoFaultSite};
 use metaopt_server::client::{request, Response};
 use metaopt_server::json::Json;
 use metaopt_server::{serve, GapServer, ServerConfig};
@@ -300,5 +301,31 @@ fn worker_panic_quarantines_job_and_server_still_drains() {
     assert_eq!(plan.fired(FaultSite::EvalPanic), 1);
 
     // The pool survived the panic: a drain completes and joins all workers.
+    h.shutdown();
+}
+
+#[test]
+fn journal_failure_on_submit_degrades_the_server_to_read_only() {
+    // Append 1 is the journal header, append 2 the first `job` record.
+    let plan = IoFaultPlan::new().inject_at(IoFaultSite::Append, 2, IoFaultKind::Enospc);
+    let h = Harness::start(ServerConfig {
+        disk: Some(Arc::new(FaultyDisk::new(plan))),
+        ..cfg("api-journal-failure")
+    });
+
+    let resp = h.call("POST", "/jobs", Some(&job_body("lost", "alice", 40.0, 60.0, 10.0)));
+    assert_eq!(resp.status, 500, "{}", resp.text());
+    let err = Json::parse(&resp.text()).unwrap();
+    assert_eq!(err.get("error").and_then(Json::as_str), Some("journal_failure"));
+
+    // Degraded, not stopped: reads keep working, admissions do not.
+    let health = Json::parse(&h.call("GET", "/healthz", None).text()).unwrap();
+    assert!(health.get("degraded").and_then(Json::as_str).is_some(), "{health:?}");
+    assert_eq!(health.get("stopped"), Some(&Json::Bool(false)), "{health:?}");
+    let again = h.call("POST", "/jobs", Some(&job_body("next", "alice", 40.0, 60.0, 10.0)));
+    assert_eq!(again.status, 503, "{}", again.text());
+    let list = h.call("GET", "/jobs", None);
+    assert_eq!(list.status, 200, "{}", list.text());
+
     h.shutdown();
 }

@@ -210,10 +210,10 @@ proptest! {
         let inst = fig1_instance();
         let spec = HeuristicSpec::DemandPinning { threshold: 50.0 };
         let mut cfg = FinderConfig {
-            budget: Budget::from_duration(std::time::Duration::from_millis(millis)),
             fallback_seed: fault_seed,
             ..FinderConfig::default()
         };
+        cfg.milp.budget = Budget::from_duration(std::time::Duration::from_millis(millis));
         cfg.milp.fault_plan = Some(FaultPlan::from_seed(fault_seed));
         let result = find_adversarial_gap(&inst, &spec, &ConstrainedSet::unconstrained(), &cfg);
         prop_assert!(result.is_ok(), "finder errored: {:?}", result.err());
